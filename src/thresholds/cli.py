@@ -64,7 +64,6 @@ def _parse_gens(text: str, p: int) -> list:
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--strict", action="store_true")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +141,7 @@ def _cmd_lct(args):
 
 def _cmd_fpt(args):
     gens = _parse_gens(args.poly, args.p)
-    ctx = frobenius.FrobeniusContext(args.p, gens[0].ring.nvars, e_max=args.e)
+    ctx = frobenius.FrobeniusContext(args.p, e_max=args.e)
     enc = frobenius.fpt_enclosure(gens, ctx)
     return {"fpt": _interval_dict(enc), "p": args.p}, enc.certified
 

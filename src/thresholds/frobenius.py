@@ -36,7 +36,6 @@ DEFAULT_PRODUCT_BUDGET = 10**6
 @dataclass(frozen=True)
 class FrobeniusContext:
     p: int
-    n: int
     e_max: int = 4
     pe_cap: int = 10**8
 
@@ -194,9 +193,9 @@ def nu(a, e: int, *, box_budget: int | None = None,
     gens = _as_generators(a)
     ring, p = _validate(gens)
     q = p**e
-    if all(len(g.terms) == 1 for g in gens):
-        exps = [next(iter(g.terms)) for g in gens]
-        return _nu_monomial_box(exps, ring.nvars, q, box_budget)
+    mono = MonomialIdeal.from_polynomials(gens)
+    if mono is not None:
+        return _nu_monomial_box(mono.gens, ring.nvars, q, box_budget)
     if len(gens) == 1:
         return _nu_principal(gens[0], q, product_budget)
     return _nu_products(gens, e, product_budget)
@@ -240,9 +239,9 @@ def fpt_enclosure(a, ctx: FrobeniusContext) -> ThresholdResult:
     n = ring.nvars
     ord_a = _ideal_order(gens)
 
-    if all(len(g.terms) == 1 for g in gens):
-        ideal = MonomialIdeal(n, [next(iter(g.terms)) for g in gens])
-        return ThresholdResult.exact(lct_monomial(ideal), "LP")
+    mono = MonomialIdeal.from_polynomials(gens)
+    if mono is not None:
+        return ThresholdResult.exact(lct_monomial(mono), "LP")
     if len(gens) == 1:
         used = [i for i in range(n) if any(exp[i] for exp in gens[0].terms)]
         if len(used) == 1:

@@ -2,14 +2,17 @@
 
 Buchberger's algorithm with the coprimality and chain criteria, followed by
 reduction to the unique reduced basis, so ideal equality is a tuple
-comparison.  Ideals generated by monomials skip all of this: containment is
-plain divisibility.
+comparison.  Ideals generated by monomials skip all of this: a ``PolyIdeal``
+of single-term generators stores its minimal monomial generators
+(:class:`thresholds.newton.MonomialIdeal`), which are its reduced basis, so
+containment is plain divisibility and equality compares exponent tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from thresholds.newton import MonomialIdeal
 from thresholds.rings import BudgetExceededError, Polynomial, Ring, grevlex_key
 
 DEFAULT_PAIR_BUDGET = 10**5
@@ -152,7 +155,11 @@ def _reduce_basis(basis) -> tuple:
 
 @dataclass(frozen=True)
 class PolyIdeal:
-    """Ideal in F_p[x] with a lazily computed reduced Groebner basis."""
+    """Ideal in F_p[x] with a lazily computed reduced Groebner basis.
+
+    An ideal given by single-term generators keeps its minimal monic
+    monomials, in grevlex order, as both ``gens`` and its reduced basis.
+    """
 
     ring: Ring
     gens: tuple
@@ -161,31 +168,31 @@ class PolyIdeal:
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             raise ValueError("need at least one nonzero generator")
-        object.__setattr__(self, "ring", gens[0].ring)
+        ring = gens[0].ring
+        mono = MonomialIdeal.from_polynomials(gens)
+        if mono is not None:
+            gens = [_monomial(ring, e) for e in sorted(mono.gens, key=grevlex_key)]
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "_budget", pair_budget)
-        object.__setattr__(self, "_gb", None)
+        object.__setattr__(self, "_mono", mono)
+        object.__setattr__(self, "_gb", None if mono is None else self.gens)
 
     def groebner(self) -> tuple:
         if self._gb is None:
-            if self.is_monomial():
-                gb = _monomial_reduce(self.ring, [next(iter(g.terms)) for g in self.gens])
-            else:
-                gb = groebner_basis(list(self.gens), self._budget)
-            object.__setattr__(self, "_gb", gb)
+            object.__setattr__(
+                self, "_gb", groebner_basis(list(self.gens), self._budget)
+            )
         return self._gb
 
     def is_monomial(self) -> bool:
-        return all(len(g.terms) == 1 for g in self.gens)
+        return self._mono is not None
 
     def member(self, f: Polynomial) -> bool:
+        if self._mono is not None:
+            return all(self._mono.contains_monomial(t) for t in f.terms)
         if f.is_zero():
             return True
-        if self.is_monomial():
-            exps = [next(iter(g.terms)) for g in self.gens]
-            return all(
-                any(_divides(e, t) for e in exps) for t in f.terms
-            )
         return normal_form(f, self.groebner()).is_zero()
 
     def contains(self, other: "PolyIdeal") -> bool:
@@ -194,24 +201,14 @@ class PolyIdeal:
     def equal(self, other: "PolyIdeal") -> bool:
         if self.ring != other.ring:
             return False
-        if self.is_monomial() and other.is_monomial():
-            return self.contains(other) and other.contains(self)
+        if self._mono is not None and other._mono is not None:
+            return self._mono.gens == other._mono.gens
         return self.groebner() == other.groebner()
 
     def product(self, other: "PolyIdeal") -> "PolyIdeal":
         return PolyIdeal(
             [f * g for f in self.gens for g in other.gens], self._budget
         )
-
-
-def _monomial_reduce(ring: Ring, exps) -> tuple:
-    minimal = [
-        e for e in exps
-        if not any(h != e and _divides(h, e) for h in exps)
-    ]
-    out = [_monomial(ring, e) for e in set(minimal)]
-    out.sort(key=lambda g: grevlex_key(_leading(g)[0]))
-    return tuple(out)
 
 
 def ideal_power(gens, r: int, budget: int = 10**5) -> list:

@@ -26,15 +26,18 @@ class NotMPrimaryError(ValueError):
     pass
 
 
-def _minimalize(gens):
-    """Drop every generator that is componentwise >= another generator."""
+def minimal_points(points) -> list:
+    """The points not componentwise >= another point, in lex order.
+
+    Lex order extends the componentwise order, so a point can only be
+    dominated by a point sorted before it: one pass against the points kept
+    so far suffices.
+    """
     out = []
-    for g in gens:
-        if any(h != g and all(a <= b for a, b in zip(h, g)) for h in gens):
-            continue
-        if g not in out:
-            out.append(g)
-    return tuple(sorted(out))
+    for p in sorted(points):
+        if not any(all(a <= b for a, b in zip(q, p)) for q in out):
+            out.append(p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ class MonomialIdeal:
                 raise ValueError(f"negative exponent in generator {g}")
         object.__setattr__(self, "n", n)
         # minimal=True promises the caller already removed dominated
-        # generators, skipping the quadratic filter for large staircases
-        gens = tuple(sorted(set(gens))) if minimal else _minimalize(gens)
+        # generators, skipping the filter for large staircases
+        gens = tuple(sorted(set(gens)) if minimal else minimal_points(gens))
         object.__setattr__(self, "gens", gens)
 
     @staticmethod
@@ -75,6 +78,15 @@ class MonomialIdeal:
                 raise ValueError(f"monomial generators must be monic: {piece!r}")
             gens.append(exp)
         return MonomialIdeal(ring.nvars, gens)
+
+    @staticmethod
+    def from_polynomials(polys) -> "MonomialIdeal | None":
+        """The ideal of a nonempty generator list if every generator is a
+        single term, else None.  Coefficients are dropped: over a field a
+        term generates the same ideal as its monomial."""
+        if any(len(f.terms) != 1 for f in polys):
+            return None
+        return MonomialIdeal(polys[0].ring.nvars, [next(iter(f.terms)) for f in polys])
 
     def is_proper(self) -> bool:
         return all(any(x > 0 for x in g) for g in self.gens)
@@ -196,17 +208,6 @@ def monomial_valuation(v, a: MonomialIdeal) -> Fraction:
 # Covolume and multiplicity
 # ----------------------------------------------------------------------
 
-def _reduce_points(points):
-    """Minimal points under componentwise domination."""
-    out = []
-    for p in points:
-        if any(q != p and all(a <= b for a, b in zip(q, p)) for q in points):
-            continue
-        if p not in out:
-            out.append(p)
-    return out
-
-
 def _slice_points(points, t: Fraction):
     """Generators of the slice {u' : (u', t) in conv(points)+orthant}.
 
@@ -257,7 +258,7 @@ def covolume(points, n: int) -> Fraction:
     between consecutive generator heights the slice volume is a polynomial of
     degree < n, recovered by exact interpolation and integrated.
     """
-    points = _reduce_points([tuple(Fraction(x) for x in p) for p in points])
+    points = minimal_points([tuple(Fraction(x) for x in p) for p in points])
     if n == 1:
         return min(p[0] for p in points)
     heights = sorted({p[-1] for p in points})

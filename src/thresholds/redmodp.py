@@ -70,7 +70,7 @@ def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
     # grow e only until the relation is decided; the interval narrows as 1/p^e
     enc = None
     for e in range(1, e_max + 1):
-        ctx = FrobeniusContext(p, fp.ring.nvars, e_max=e)
+        ctx = FrobeniusContext(p, e_max=e)
         enc = fpt_enclosure(fp, ctx)
         if enc.hi < lct0 or (enc.is_exact and enc.certified):
             break

@@ -387,8 +387,7 @@ def monomial_coefficient(f: Polynomial, k: int, u: Exponent):
                     if modp
                     else multinomial_exact(parts)
                 )
-                acc_local = mult * coeff_prod * c**remaining
-                acc_update(acc_local)
+                acc += mult * coeff_prod * c**remaining
             return
         exp, c = items[idx]
         cap = remaining
@@ -404,10 +403,6 @@ def monomial_coefficient(f: Polynomial, k: int, u: Exponent):
             power = power * c
             if modp:
                 power %= ring.p
-
-    def acc_update(value):
-        nonlocal acc
-        acc += value
 
     counts: list = []
     descend(0, k, u, 1)
@@ -631,7 +626,7 @@ def render_polynomial(f: Polynomial) -> str:
         )
         if not mono:
             body = _format_coeff(c if c > 0 or f.ring.fieldtag == "Fp" else -c)
-        elif c == 1 or (f.ring.fieldtag == "Fp" and False):
+        elif c == 1:
             body = mono
         else:
             mag = c if c > 0 or f.ring.fieldtag == "Fp" else -c

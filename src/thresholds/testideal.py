@@ -58,18 +58,11 @@ def frobenius_root(b, e: int) -> PolyIdeal:
     if e < 0:
         raise ValueError("e must be >= 0")
     gens = _gens_of(b)
-    ring = gens[0].ring
     if e == 0:
         return PolyIdeal(gens)
-    q = ring.p**e
-    out = []
-    for g in gens:
-        if len(g.terms) == 1:
-            (exp,) = g.terms
-            out.append(Polynomial(ring, {tuple(x // q for x in exp): 1}))
-        else:
-            out.extend(frobenius_decompose(g, e).values())
-    return PolyIdeal([g for g in out if not g.is_zero()])
+    return PolyIdeal(
+        [c for g in gens for c in frobenius_decompose(g, e).values()]
+    )
 
 
 def frobenius_bracket_power(b: PolyIdeal, e: int) -> PolyIdeal:
@@ -152,10 +145,6 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-def _monomial_to_polyideal(ideal: MonomialIdeal, ring) -> PolyIdeal:
-    return PolyIdeal([Polynomial(ring, {g: 1}) for g in ideal.gens])
-
-
 # ----------------------------------------------------------------------
 # Exact principal test ideals
 # ----------------------------------------------------------------------
@@ -225,10 +214,12 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX,
     ring = gens[0].ring
     if lam == 0:
         return TauResult(PolyIdeal([Polynomial.one(ring)]), lam, True, 0)
-    if all(len(g.terms) == 1 for g in gens):
-        ideal = MonomialIdeal(ring.nvars, [next(iter(g.terms)) for g in gens])
-        result = tau_monomial(ideal, lam)
-        return TauResult(_monomial_to_polyideal(result, ring), lam, True, 0)
+    mono = MonomialIdeal.from_polynomials(gens)
+    if mono is not None:
+        result = tau_monomial(mono, lam).gens
+        return TauResult(
+            PolyIdeal([Polynomial.monomial(ring, u) for u in result]), lam, True, 0
+        )
     if len(gens) == 1:
         return _tau_principal(gens[0], lam, iter_max)
     chain = ascending_chain(gens, lam, e_max, power_budget=power_budget)

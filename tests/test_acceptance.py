@@ -92,7 +92,7 @@ def test_criterion_2_cusp_nu_closed_form():
 def test_criterion_3_cusp_enclosures():
     for p in (5, 7, 11, 13, 31, 37):
         f = parse_polynomial("x^2 + y^3", Ring.prime_field(2, p))
-        enc = fpt_enclosure(f, FrobeniusContext(p, 2, e_max=3))
+        enc = fpt_enclosure(f, FrobeniusContext(p, e_max=3))
         target = Fraction(5, 6) if p % 3 == 1 else Fraction(5, 6) - Fraction(1, 6 * p)
         assert enc.contains(target)
         assert enc.width() <= Fraction(1, p**3)

@@ -1,0 +1,69 @@
+"""The benchmark under ``bench/`` still runs against the package.
+
+The harness is only imported here, never changed: a package change that
+renames a traced function, moves a budget global or changes a report breaks
+one of these tests before it breaks a benchmark run.
+"""
+
+import contextlib
+import importlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from thresholds import cli, frobenius, grobner, rings
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+SMOKE_JOBS = [
+    ("principal", ["tau", "--poly", "x^2 + y^4", "--p", "7", "--lambda", "5/7"]),
+    ("monomial",
+     ["tau", "--poly", "y, y^3, x^3*y, x^5", "--p", "2", "--lambda", "2/3"]),
+]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield {name: importlib.import_module(name)
+               for name in ("layers", "run", "check")}
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_tracer_wraps_and_restores_every_layer(bench):
+    originals = (cli.run, grobner.PolyIdeal.member, grobner.PolyIdeal.equal,
+                 rings.power_has_reduced_term, frobenius.power_has_reduced_term)
+    tracer = bench["layers"].Tracer()
+    tracer.install()
+    try:
+        assert grobner.PolyIdeal.member is not originals[1]
+        assert frobenius.power_has_reduced_term is not originals[4]
+    finally:
+        tracer.uninstall()
+    assert (cli.run, grobner.PolyIdeal.member, grobner.PolyIdeal.equal,
+            rings.power_has_reduced_term, frobenius.power_has_reduced_term) == originals
+
+
+def test_budget_globals_are_read(bench):
+    assert bench["run"]._budget_globals() == (
+        frobenius.DEFAULT_BOX_BUDGET,
+        frobenius.DEFAULT_PRODUCT_BUDGET,
+        grobner.DEFAULT_PAIR_BUDGET,
+    )
+
+
+@pytest.mark.parametrize("workload,argv", SMOKE_JOBS)
+def test_reference_job_passes_its_check(bench, workload, argv):
+    check = bench["check"]
+    refs = json.loads((BENCH / "reference.json").read_text())["answers"][workload]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.run(argv + ["--format", "json"])
+    assert rc == 0
+    verdict = check.check(argv, json.loads(out.getvalue()), refs.get(json.dumps(argv)))
+    assert verdict == check.CHECKED

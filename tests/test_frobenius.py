@@ -136,7 +136,7 @@ def test_nu_subadditive_in_ideal_sum():
 
 
 def test_nu_sequence_regression_guard():
-    seq = nu_sequence([parse_polynomial("x^2+y^3", F5)], FrobeniusContext(5, 2, e_max=3))
+    seq = nu_sequence([parse_polynomial("x^2+y^3", F5)], FrobeniusContext(5, e_max=3))
     assert seq.values == (3, 19, 99)
     with pytest.raises(ValueError):
         NuSequence(5, (3, 14))  # violates nu(e+1) >= p*nu(e)
@@ -149,19 +149,19 @@ def test_fpt_monomial_is_lct():
 
 def test_fpt_enclosure_certified_monomial():
     gens = [_mono(F5, (2, 0)), _mono(F5, (0, 3))]
-    res = fpt_enclosure(gens, FrobeniusContext(5, 2))
+    res = fpt_enclosure(gens, FrobeniusContext(5))
     assert res.is_exact and res.value == Fraction(5, 6)
 
 
 def test_fpt_enclosure_one_variable_principal():
     f = parse_polynomial("x^3 + x^5", F5)
-    res = fpt_enclosure([f], FrobeniusContext(5, 2))
+    res = fpt_enclosure([f], FrobeniusContext(5))
     assert res.is_exact and res.value == Fraction(1, 3)
 
 
 def test_fpt_enclosure_interval_bounds():
     f = parse_polynomial("x^2+y^3", F7)
-    res = fpt_enclosure([f], FrobeniusContext(7, 2, e_max=2))
+    res = fpt_enclosure([f], FrobeniusContext(7, e_max=2))
     assert res.contains(Fraction(5, 6))
     assert Fraction(1, 2) <= res.lo <= res.hi <= Fraction(2, 2)
     assert not res.certified
@@ -169,7 +169,7 @@ def test_fpt_enclosure_interval_bounds():
 
 def test_fpt_enclosure_multigenerator():
     gens = [parse_polynomial("x^2+y^3", F5), parse_polynomial("x*y", F5)]
-    res = fpt_enclosure(gens, FrobeniusContext(5, 2, e_max=2))
+    res = fpt_enclosure(gens, FrobeniusContext(5, e_max=2))
     ord_a = 2
     assert Fraction(1, ord_a) <= res.lo <= res.hi <= Fraction(2, ord_a)
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import ideal_members, nonzero_polynomials, polynomials
 from thresholds.grobner import (
@@ -98,14 +98,29 @@ def test_containment_partial_order():
     assert J.contains(I) and I.contains(L) and J.contains(L)
 
 
-def test_monomial_bypass_matches_general_path():
-    gens = [P("x^3"), P("x*y"), P("y^2")]
-    I = PolyIdeal(gens)
-    assert I.is_monomial()
-    probe = [P("x^2*y"), P("x^2"), P("y^3"), P("x^3 + y^2")]
+def _terms(exps_and_coeffs):
+    return [Polynomial(F5, {e: c}) for e, c in exps_and_coeffs]
+
+
+monomial_gens = st.lists(
+    st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(1, 4)),
+    min_size=1, max_size=5,
+).map(_terms)
+
+
+@example([P("x^3"), P("x*y"), P("y^2")],
+         [P("x^2*y"), P("x^2"), P("y^3"), P("x^3 + y^2")],
+         [P("x^3"), P("y^2"), P("x*y"), P("x^4")])
+@given(monomial_gens, st.lists(polynomials(F5, max_terms=3, max_exp=5), max_size=4),
+       monomial_gens)
+def test_monomial_bypass_matches_general_path(gens, probe, other_gens):
+    I, J = PolyIdeal(gens), PolyIdeal(other_gens)
+    assert I.is_monomial() and J.is_monomial()
     general = groebner_basis(gens)
-    for f in probe:
+    assert I.groebner() == general
+    for f in probe + list(other_gens):
         assert I.member(f) == normal_form(f, general).is_zero()
+    assert I.equal(J) == (general == groebner_basis(other_gens))
 
 
 def test_product_ideal():

@@ -14,14 +14,33 @@ from thresholds.newton import (
     covolume,
     diagonal_entry_min,
     lct_monomial,
+    minimal_points,
     monomial_valuation,
     multiplicity_monomial,
 )
 
 
-def test_minimal_generators():
+def _minimal_by_pairs(points):
+    """Quadratic oracle: drop every point componentwise >= another one."""
+    out = []
+    for p in points:
+        if any(q != p and all(a <= b for a, b in zip(q, p)) for q in points):
+            continue
+        if p not in out:
+            out.append(p)
+    return sorted(out)
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=12),
+       st.integers(1, 4))
+def test_minimal_generators(points, den):
     a = MonomialIdeal(2, [(2, 0), (2, 1), (0, 3), (4, 4)])
     assert a.gens == ((0, 3), (2, 0))
+    assert minimal_points(points) == _minimal_by_pairs(points)
+    assert MonomialIdeal(3, points).gens == tuple(_minimal_by_pairs(points))
+    # covolume minimalizes Fraction points
+    scaled = [tuple(Fraction(x, den) for x in p) for p in points]
+    assert minimal_points(scaled) == _minimal_by_pairs(scaled)
 
 
 def test_parse():
