@@ -1,24 +1,19 @@
 """F-pure thresholds via Frobenius powers of the maximal ideal.
 
 nu(e) is the largest i such that a^i is not contained in m^[p^e]; the values
-nu(e)/p^e increase to the F-pure threshold.  Three computation paths share the
-same contract:
-
-* monomial generator lists run a reachability sweep over the box of exponents
-  below p^e (products of monomials are monomials, so containment is a lattice
-  question);
-* principal ideals binary-search i, deciding "f^i has a term with all
-  exponents below p^e" by a pruned multinomial sum;
-* general generator lists enumerate degree-i generator products with
-  deduplication and a budget.
+nu(e)/p^e increase to the F-pure threshold.  One degree sweep computes it:
+starting from 1, every kept product of generators is multiplied by each
+generator, every term with an exponent >= p^e is dropped as soon as it is
+formed (m^[p^e] is spanned by exactly those monomials), and the answer is the
+last degree with a product left.  Products of monomials are points of the box
+{0..p^e-1}^n, so for monomial ideals the sweep runs on a bitset of that box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import add
 
 from thresholds.lct0 import ThresholdResult
 from thresholds.newton import MonomialIdeal, lct_monomial
@@ -26,7 +21,6 @@ from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
     monomial_coefficient,
-    power_has_reduced_term,
 )
 
 DEFAULT_BOX_BUDGET = 10**7
@@ -97,108 +91,111 @@ def in_frobenius_power(g: Polynomial, e: int) -> bool:
     return all(any(x >= q for x in exp) for exp in g.terms)
 
 
-def _nu_monomial_box(exps, n: int, q: int, budget: int) -> int:
+def _nu_box(exps, n: int, q: int) -> int:
     """Largest i such that some i-fold sum of generator exponents stays < q.
 
-    Degree-by-degree reachability over the box {0..q-1}^n, vectorized as
-    boolean shifts.  Generators with any exponent >= q can never contribute.
+    The box {0..q-1}^n is one int used as a bitset, point u at bit
+    sum_j u_j q^j.  Adding generator g moves the points with u + g < q
+    (the bits of ``mask``) up by ``shift`` = sum_j g_j q^j.
     """
-    if q**n > budget:
-        raise BudgetExceededError(f"exponent box {q}^{n} exceeds budget {budget}")
-    usable = [g for g in exps if all(x < q for x in g)]
-    if not usable:
-        return 0
-    reach = np.zeros((q,) * n, dtype=bool)
-    reach[(0,) * n] = True
-    nu_val = 0
+    if q**n > DEFAULT_BOX_BUDGET:
+        raise BudgetExceededError(
+            f"exponent box {q}^{n} exceeds budget {DEFAULT_BOX_BUDGET}"
+        )
+    moves = []
+    for g in exps:
+        if any(x >= q for x in g):
+            continue  # never below q, so never part of a surviving product
+        mask, stride = 1, 1
+        for x in g:
+            # repeat the block of the coordinates so far q - x times
+            mask *= ((1 << stride * (q - x)) - 1) // ((1 << stride) - 1)
+            stride *= q
+        moves.append((mask, sum(x * q**j for j, x in enumerate(g))))
+    reach, i = 1, 0
     while True:
-        nxt = np.zeros_like(reach)
-        for g in usable:
-            src = tuple(slice(0, q - x) for x in g)
-            dst = tuple(slice(x, q) for x in g)
-            np.logical_or(nxt[dst], reach[src], out=nxt[dst])
-        if not nxt.any():
-            return nu_val
-        nu_val += 1
-        reach = nxt
+        nxt = 0
+        for mask, shift in moves:
+            nxt |= (reach & mask) << shift
+        if not nxt:
+            return i
+        reach, i = nxt, i + 1
 
 
-def _nu_principal(f: Polynomial, q: int, budget: int) -> int:
-    """Binary search on the monotone predicate "f^i not in m^[p^e]"."""
-    n = f.ring.nvars
-    small_support = len(f.terms) <= 8
+def _times(prod, g, q: int, p: int):
+    """Monic prod*g with every term that has an exponent >= q dropped.
 
-    def outside(i: int) -> bool:
-        if small_support:
-            return power_has_reduced_term(f, i, q, budget)
-        return not in_frobenius_power(f.pow(i, budget), _e_from_q(f.ring.p, q))
-
-    lo, hi = 0, n * (q - 1) + 1  # outside(lo) holds; outside(hi) fails
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if outside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _e_from_q(p: int, q: int) -> int:
-    e = 0
-    while q > 1:
-        q //= p
-        e += 1
-    return e
+    Products are frozensets of (exponent, coefficient) pairs; the result is
+    None when no term survives.
+    """
+    out: dict = {}
+    for eb, cb in g:
+        for ea, ca in prod:
+            exp = tuple(map(add, ea, eb))
+            if max(exp) < q:
+                out[exp] = out.get(exp, 0) + ca * cb
+    out = {exp: c % p for exp, c in out.items() if c % p}
+    if not out:
+        return None
+    inv = pow(out[max(out)], p - 2, p)
+    return frozenset((exp, c * inv % p) for exp, c in out.items())
 
 
-def _nu_products(gens, e: int, budget: int) -> int:
-    """Ascending search over deduplicated degree-i generator products."""
-    ring = gens[0].ring
-    frontier = {Polynomial.one(ring): 0}  # product -> smallest usable gen index
-    nu_val = 0
-    seen = 0
-    i = 0
-    while frontier:
-        i += 1
+def _sweep(gens, q: int, p: int, frontier: dict, i: int, budget: int):
+    """Multiply the degree-i products up until none is left modulo m^[q].
+
+    ``frontier`` maps each monic product of i generators that is nonzero
+    modulo m^[q] to the smallest generator index it may still be multiplied
+    by; indices never decrease, so each multiset of generators is formed
+    once.  Returns the last degree with a nonzero product, the products of
+    that degree and the term budget left.
+    """
+    while True:
         nxt: dict = {}
         for prod, start in frontier.items():
             for j in range(start, len(gens)):
-                q = prod * gens[j]
-                if in_frobenius_power(q, e):
-                    continue
-                prev = nxt.get(q)
-                if prev is None or j < prev:
-                    nxt[q] = j
-                seen += 1
-                if seen > budget:
+                budget -= len(prod) * len(gens[j])
+                if budget < 0:
                     raise BudgetExceededError(
-                        "generator-product enumeration budget exceeded"
+                        "generator-product sweep exceeded its term budget"
                     )
-        if nxt:
-            nu_val = i
-        frontier = nxt
-    return nu_val
+                r = _times(prod, gens[j], q, p)
+                if r is not None and j < nxt.get(r, len(gens)):
+                    nxt[r] = j
+        if not nxt:
+            return i, frontier, budget
+        frontier, i = nxt, i + 1
 
 
-def nu(a, e: int, *, box_budget: int | None = None,
-       product_budget: int | None = None) -> int:
-    """Largest i with a^i not contained in m^[p^e], at the origin."""
-    # budgets resolve late so the CLI environment override is honored
-    box_budget = DEFAULT_BOX_BUDGET if box_budget is None else box_budget
-    product_budget = (
-        DEFAULT_PRODUCT_BUDGET if product_budget is None else product_budget
-    )
+def nu(a, e: int) -> int:
+    """Largest i with a^i not contained in m^[p^e], at the origin.
+
+    Monomial ideals sweep the exponent box (:func:`_nu_box`); every other
+    ideal sweeps its generator products (:func:`_sweep`).  A principal
+    ideal walks the levels p, p^2, ..., p^e: over F_p, f^(p*j) modulo
+    m^[p*q] is f^j modulo m^[q] with every exponent multiplied by p, and
+    p*nu(k) <= nu(k+1) <= p*nu(k) + p - 1 (Blickle-Mustata-Smith,
+    F-thresholds of hypersurfaces), so level k+1 resumes from the p-th power
+    of level k's last product and takes at most p - 1 further steps.
+    """
     if e < 1:
         raise ValueError("e must be >= 1")
     gens = _as_generators(a)
     ring, p = _validate(gens)
-    q = p**e
     mono = MonomialIdeal.from_polynomials(gens)
     if mono is not None:
-        return _nu_monomial_box(mono.gens, ring.nvars, q, box_budget)
+        return _nu_box(mono.gens, ring.nvars, p**e)
+    terms = [tuple(g.terms.items()) for g in gens]
+    # budgets resolve late so the CLI environment override is honored
+    budget = DEFAULT_PRODUCT_BUDGET
+    frontier, i = {frozenset({((0,) * ring.nvars, 1)}): 0}, 0
     if len(gens) == 1:
-        return _nu_principal(gens[0], q, product_budget)
-    return _nu_products(gens, e, product_budget)
+        for k in range(1, e):
+            i, frontier, budget = _sweep(terms, p**k, p, frontier, i, budget)
+            (prod,) = frontier
+            lifted = frozenset((tuple(x * p for x in u), c) for u, c in prod)
+            frontier, i = {lifted: 0}, i * p
+    return _sweep(terms, p**e, p, frontier, i, budget)[0]
 
 
 def nu_sequence(a, ctx: FrobeniusContext, description: str = "") -> NuSequence:

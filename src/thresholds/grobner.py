@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from thresholds.newton import MonomialIdeal
+from thresholds.newton import MonomialIdeal, minimal_points
 from thresholds.rings import BudgetExceededError, Polynomial, Ring, grevlex_key
 
 DEFAULT_PAIR_BUDGET = 10**5
@@ -32,10 +32,6 @@ def _lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _monomial(ring: Ring, exp, coeff=1) -> Polynomial:
-    return Polynomial(ring, {tuple(exp): coeff})
-
-
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the basis (full reduction)."""
     ring = f.ring
@@ -47,7 +43,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         coeff = work.pop(exp)
         for lexp, lc, g in leads:
             if _divides(lexp, exp):
-                factor = _monomial(
+                factor = Polynomial.monomial(
                     ring,
                     tuple(a - b for a, b in zip(exp, lexp)),
                     ring.coeff(coeff * ring.coeff_inv(lc)),
@@ -70,8 +66,12 @@ def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     (fe, fc), (ge, gc) = _leading(f), _leading(g)
     lcm = _lcm(fe, ge)
-    mf = _monomial(ring, tuple(a - b for a, b in zip(lcm, fe)), ring.coeff_inv(fc))
-    mg = _monomial(ring, tuple(a - b for a, b in zip(lcm, ge)), ring.coeff_inv(gc))
+    mf = Polynomial.monomial(
+        ring, tuple(a - b for a, b in zip(lcm, fe)), ring.coeff_inv(fc)
+    )
+    mg = Polynomial.monomial(
+        ring, tuple(a - b for a, b in zip(lcm, ge)), ring.coeff_inv(gc)
+    )
     return mf * f - mg * g
 
 
@@ -131,24 +131,18 @@ def _chain_criterion(basis, pairs, i, j, lcm) -> bool:
 
 def _reduce_basis(basis) -> tuple:
     ring = basis[0].ring
-    # drop members whose leading term is divisible by another's
-    leads = [_leading(g)[0] for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        if any(
-            j != i and _divides(leads[j], leads[i])
-            and (leads[j] != leads[i] or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(g)
+    # keep the first member with each minimal leading term
+    first: dict = {}
+    for g in basis:
+        first.setdefault(_leading(g)[0], g)
+    keep = [first[lead] for lead in minimal_points(first)]
     # fully reduce each survivor against the others and make it monic
     out = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
         r = normal_form(g, others) if others else g
         lc = _leading(r)[1]
-        out.append(_monomial(ring, (0,) * ring.nvars, ring.coeff_inv(lc)) * r)
+        out.append(r.scale(ring.coeff_inv(lc)))
     out.sort(key=lambda g: grevlex_key(_leading(g)[0]))
     return tuple(out)
 
@@ -171,7 +165,10 @@ class PolyIdeal:
         ring = gens[0].ring
         mono = MonomialIdeal.from_polynomials(gens)
         if mono is not None:
-            gens = [_monomial(ring, e) for e in sorted(mono.gens, key=grevlex_key)]
+            gens = [
+                Polynomial.monomial(ring, e)
+                for e in sorted(mono.gens, key=grevlex_key)
+            ]
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "_budget", pair_budget)

@@ -37,16 +37,17 @@ def bench():
 
 def test_tracer_wraps_and_restores_every_layer(bench):
     originals = (cli.run, grobner.PolyIdeal.member, grobner.PolyIdeal.equal,
-                 rings.power_has_reduced_term, frobenius.power_has_reduced_term)
+                 rings.power_has_reduced_term, frobenius.monomial_coefficient)
     tracer = bench["layers"].Tracer()
     tracer.install()
     try:
         assert grobner.PolyIdeal.member is not originals[1]
-        assert frobenius.power_has_reduced_term is not originals[4]
+        assert rings.power_has_reduced_term is not originals[3]
+        assert frobenius.monomial_coefficient is not originals[4]
     finally:
         tracer.uninstall()
     assert (cli.run, grobner.PolyIdeal.member, grobner.PolyIdeal.equal,
-            rings.power_has_reduced_term, frobenius.power_has_reduced_term) == originals
+            rings.power_has_reduced_term, frobenius.monomial_coefficient) == originals
 
 
 def test_budget_globals_are_read(bench):

@@ -1,8 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import thresholds
 import thresholds.frobenius as frobenius
 import thresholds.grobner as grobner
 from thresholds.cli import build_parser, fmt_q, run
@@ -164,3 +170,18 @@ def test_budget_env_exit_3(capsys, monkeypatch):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_fpt_deep_level_encloses_cusp_threshold(capsys):
+    rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3", "--p", "97", "--e", "4"])
+    lo, hi = Fraction(rep["fpt"]["lo"]), Fraction(rep["fpt"]["hi"])
+    assert lo <= Fraction(5, 6) <= hi
+
+
+def test_cli_import_pulls_in_no_numpy():
+    src = str(Path(thresholds.__file__).resolve().parent.parent)
+    code = "import sys, thresholds.cli; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert done.returncode == 0

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import nonzero_polynomials
 from thresholds.frobenius import (
@@ -16,7 +16,12 @@ from thresholds.frobenius import (
     nu_sequence,
 )
 from thresholds.newton import MonomialIdeal, lct_monomial
-from thresholds.rings import Polynomial, Ring, parse_polynomial
+from thresholds.rings import (
+    Polynomial,
+    Ring,
+    parse_polynomial,
+    power_has_reduced_term,
+)
 
 F2 = Ring.prime_field(2, 2)
 F3 = Ring.prime_field(2, 3)
@@ -89,11 +94,66 @@ def test_nu_principal_path_matches_bruteforce(f, e):
     assert nu(f, e) == _nu_bruteforce([f], e)
 
 
-def test_nu_multigenerator_polynomial_path():
-    f = parse_polynomial("x^2+y^3", F3)
-    g = parse_polynomial("x*y", F3)
-    assert nu([f, g], 1) == _nu_bruteforce([f, g], 1)
-    assert nu([f, g], 2) == _nu_bruteforce([f, g], 2)
+def _nu_bisection(f, q):
+    """Oracle: bisect on "f^i has a term with every exponent below q"."""
+    lo, hi = 0, f.ring.nvars * (q - 1) + 1  # f^lo is outside, f^hi inside
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if power_has_reduced_term(f, mid, q):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def _principal_cases(draw):
+    n = draw(st.integers(1, 3))
+    ring = Ring.prime_field(n, draw(st.sampled_from([2, 3, 5, 7])))
+    f = draw(
+        nonzero_polynomials(ring, max_terms=4, max_exp=3).filter(
+            lambda f: len(f.terms) >= 2 and (0,) * n not in f.terms
+        )
+    )
+    return f, draw(st.integers(1, 3))
+
+
+@given(_principal_cases())
+def test_nu_principal_sweep_matches_bisection(case):
+    f, e = case
+    assert nu(f, e) == _nu_bisection(f, f.ring.p**e)
+
+
+_PRIME_POWERS = [
+    (p, e) for p in (2, 3, 5, 7, 11) for e in range(1, 7) if p**e <= 125
+]
+
+
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    st.sampled_from(_PRIME_POWERS),
+)
+def test_nu_box_diagonal_closed_form(a, pe):
+    p, e = pe
+    n, q = len(a), p**e
+    ring = Ring.prime_field(n, p)
+    gens = [
+        _mono(ring, tuple(a_i if j == i else 0 for j in range(n)))
+        for i, a_i in enumerate(a)
+    ]
+    assert nu(gens, e) == sum((q - 1) // a_i for a_i in a)
+
+
+_F3_GENERATORS = nonzero_polynomials(F3, max_terms=3, max_exp=3).filter(
+    lambda f: (0, 0) not in f.terms
+)
+
+
+@given(st.lists(_F3_GENERATORS, min_size=2, max_size=3), st.integers(1, 2))
+@example([parse_polynomial("x^2+y^3", F3), parse_polynomial("x*y", F3)], 1)
+@example([parse_polynomial("x^2+y^3", F3), parse_polynomial("x*y", F3)], 2)
+def test_nu_multigenerator_polynomial_path(gens, e):
+    assert nu(gens, e) == _nu_bruteforce(gens, e)
 
 
 @given(nonzero_polynomials(F3, max_terms=3, max_exp=2))
