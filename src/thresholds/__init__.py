@@ -5,21 +5,31 @@ nu-sequences in characteristic p, test ideals via Frobenius roots, F-jumping
 scans, asymptotic thresholds of graded monomial sequences, and a
 reduction-mod-p comparison harness.  All values are exact rationals
 (``fractions.Fraction``); no floating point enters any computation.
+
+Importing the package loads no submodule: each name of ``__all__`` imports
+its owning submodule on first access (PEP 562).
 """
 
-from thresholds.rings import Ring, Polynomial, parse_polynomial, render_polynomial
-from thresholds.newton import MonomialIdeal, NewtonPolyhedron, lct_monomial
-from thresholds.lct0 import ThresholdResult
+import importlib
 
-__all__ = [
-    "Ring",
-    "Polynomial",
-    "parse_polynomial",
-    "render_polynomial",
-    "MonomialIdeal",
-    "NewtonPolyhedron",
-    "lct_monomial",
-    "ThresholdResult",
-]
+_OWNERS = {
+    "Ring": "rings",
+    "Polynomial": "rings",
+    "parse_polynomial": "rings",
+    "render_polynomial": "rings",
+    "MonomialIdeal": "newton",
+    "NewtonPolyhedron": "newton",
+    "lct_monomial": "newton",
+    "ThresholdResult": "lct0",
+}
+
+__all__ = list(_OWNERS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    owner = _OWNERS.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{owner}"), name)

@@ -205,6 +205,8 @@ def val_asym(seq, v, m: int) -> Fraction:
 
 def estimate_arn(seq, m_max: int, *, start: int = 16, tag: str = "") -> AsymptoticEstimate:
     """Sample Arn(a_m)/m at m = start, 2*start, ..., m_max."""
+    if m_max < start:
+        raise ValueError(f"m_max must be >= {start}")
     samples = []
     m = start
     while m <= m_max:

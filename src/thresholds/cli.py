@@ -8,6 +8,9 @@ JSON output carries ``"schema": 1`` and renders every rational as a
 
 Exit codes: 0 success, 2 malformed input, 3 budget exhaustion (always) or
 uncertified results under ``--strict``.
+
+Importing this module loads only the standard library; each subcommand
+imports the modules it runs when it is called.
 """
 
 from __future__ import annotations
@@ -18,32 +21,13 @@ import os
 import sys
 from fractions import Fraction
 
-from thresholds import asymptotic, frobenius, redmodp, testideal
-from thresholds.lct0 import ThresholdResult
-from thresholds.newton import (
-    INFINITY,
-    MonomialIdeal,
-    check_amgm,
-    lct_monomial,
-    multiplicity_monomial,
-)
-from thresholds.rings import (
-    BudgetExceededError,
-    ParseError,
-    Polynomial,
-    Ring,
-    infer_ring,
-    parse_polynomial,
-    render_polynomial,
-)
-
 
 def fmt_q(x) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
-def _interval_dict(r: ThresholdResult) -> dict:
+def _interval_dict(r) -> dict:
     return {
         "lo": fmt_q(r.lo),
         "hi": fmt_q(r.hi),
@@ -54,6 +38,8 @@ def _interval_dict(r: ThresholdResult) -> dict:
 
 def _parse_gens(text: str, p: int) -> list:
     """Comma-separated generator list over F_p."""
+    from thresholds.rings import ParseError, infer_ring, parse_polynomial
+
     pieces = [s.strip() for s in text.split(",") if s.strip()]
     if not pieces:
         raise ParseError("empty generator list", 0)
@@ -132,14 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 def _cmd_lct(args):
-    ideal = MonomialIdeal.parse(args.monomial)
-    value = lct_monomial(ideal)
-    if value == INFINITY:
+    from thresholds import newton
+
+    value = newton.lct_monomial(newton.MonomialIdeal.parse(args.monomial))
+    if value == newton.INFINITY:
         raise ValueError("improper ideal: threshold is infinite")
     return {"lct": fmt_q(value), "method": "LP"}, True
 
 
 def _cmd_fpt(args):
+    from thresholds import frobenius
+
     gens = _parse_gens(args.poly, args.p)
     ctx = frobenius.FrobeniusContext(args.p, e_max=args.e)
     enc = frobenius.fpt_enclosure(gens, ctx)
@@ -147,11 +136,16 @@ def _cmd_fpt(args):
 
 
 def _cmd_nu(args):
+    from thresholds import frobenius
+
     gens = _parse_gens(args.poly, args.p)
     return {"nu": frobenius.nu(gens, args.e), "p": args.p, "e": args.e}, True
 
 
 def _cmd_tau(args):
+    from thresholds import testideal
+    from thresholds.rings import render_polynomial
+
     gens = _parse_gens(args.poly, args.p)
     res = testideal.tau(gens, Fraction(args.lam), e_max=args.e)
     return {
@@ -164,6 +158,8 @@ def _cmd_tau(args):
 
 
 def _cmd_fjump(args):
+    from thresholds import testideal
+
     gens = _parse_gens(args.poly, args.p)
     rep = testideal.fjump_scan(gens, args.grid, Fraction(args.lam), e_max=args.e)
     return {
@@ -176,20 +172,24 @@ def _cmd_fjump(args):
 
 
 def _cmd_newton(args):
-    ideal = MonomialIdeal.parse(args.monomial)
-    value = lct_monomial(ideal)
+    from thresholds import newton
+
+    ideal = newton.MonomialIdeal.parse(args.monomial)
+    value = newton.lct_monomial(ideal)
     report = {
         "generators": [list(g) for g in ideal.gens],
-        "lct": None if value == INFINITY else fmt_q(value),
+        "lct": None if value == newton.INFINITY else fmt_q(value),
         "m_primary": ideal.is_m_primary(),
     }
     if ideal.is_m_primary():
-        report["multiplicity"] = multiplicity_monomial(ideal)
-        report["amgm_holds"] = check_amgm(ideal)
+        report["multiplicity"] = newton.multiplicity_monomial(ideal)
+        report["amgm_holds"] = newton.check_amgm(ideal)
     return report, True
 
 
 def _cmd_asym(args):
+    from thresholds import asymptotic
+
     est = asymptotic.golden_ratio_demo(args.mmax)
     return {
         "samples": [
@@ -203,6 +203,8 @@ def _cmd_asym(args):
 
 
 def _diagonal_exponents(text: str) -> list:
+    from thresholds.rings import infer_ring, parse_polynomial
+
     ring = infer_ring(text)
     f = parse_polynomial(text, ring)
     exps = []
@@ -217,6 +219,7 @@ def _diagonal_exponents(text: str) -> list:
 
 
 def _cmd_compare(args):
+    from thresholds import redmodp
     from thresholds.rings import is_prime
 
     exps = _diagonal_exponents(args.poly)
@@ -237,6 +240,8 @@ def _cmd_compare(args):
 
 
 def _cmd_ordinary(args):
+    from thresholds import frobenius
+
     gens = _parse_gens(args.poly, args.p)
     if len(gens) != 1:
         raise ValueError("ordinary expects a single cubic")
@@ -290,16 +295,17 @@ def _apply_budget_env():
             raise ValueError
     except ValueError:
         raise ValueError(f"THRESHOLDS_BUDGET must be a positive integer, got {raw!r}")
+    from thresholds import frobenius, grobner
+
     frobenius.DEFAULT_BOX_BUDGET = cap
     frobenius.DEFAULT_PRODUCT_BUDGET = cap
-    import thresholds.grobner as grobner
-
     grobner.DEFAULT_PAIR_BUDGET = cap
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    from thresholds.rings import BudgetExceededError, ParseError
+
     try:
         _apply_budget_env()
         report, certified = _COMMANDS[args.command](args)

@@ -177,6 +177,16 @@ def nu(a, e: int) -> int:
     p*nu(k) <= nu(k+1) <= p*nu(k) + p - 1 (Blickle-Mustata-Smith,
     F-thresholds of hypersurfaces), so level k+1 resumes from the p-th power
     of level k's last product and takes at most p - 1 further steps.
+
+    A level k with nu(k) = p^k - 1 ends the walk, since then nu(e) = p^e - 1
+    for every e.  Indeed nu(j) <= p^j - 1 always (f^(p^j) lies in m^[p^j]),
+    so nu(k) <= p*nu(k-1) + p - 1 forces nu(k-1) = p^(k-1) - 1, and so on
+    down to nu(1) = p - 1: f^(p-1) is not in m^[p], so f is F-pure by
+    Fedder's criterion.  Work in the local ring R at the origin, where g is
+    outside m^[q] exactly when (g)^[1/q] = R.  From (g^p h)^[1/p] =
+    g (h)^[1/p] and (f^(p-1))^[1/p] = R, induction on j gives
+    (f^(p^(j+1)-1))^[1/p^(j+1)] = (f^(p^j-1) (f^(p-1))^[1/p])^[1/p^j]
+    = (f^(p^j-1))^[1/p^j] = R.
     """
     if e < 1:
         raise ValueError("e must be >= 1")
@@ -192,6 +202,8 @@ def nu(a, e: int) -> int:
     if len(gens) == 1:
         for k in range(1, e):
             i, frontier, budget = _sweep(terms, p**k, p, frontier, i, budget)
+            if i == p**k - 1:
+                return p**e - 1
             (prod,) = frontier
             lifted = frozenset((tuple(x * p for x in u), c) for u, c in prod)
             frontier, i = {lifted: 0}, i * p

@@ -9,7 +9,7 @@ times monomials with exponents below p^e.
 * monomial ideals have an exact polyhedral description: tau is generated
   by the monomials u with u + (1,...,1) in the interior of lam * P(a);
 * principal ideals use that (f^a)^[1/p^e] is exactly tau(f^{a/p^e}),
-  together with the Skoda recursion tau(f^{1+s}) = f*tau(f^s) and the
+  together with Skoda's theorem tau(f^{k+s}) = f^k*tau(f^s) and the
   scaling tau(f^{s/p}) = tau(f^s)^[1/p]; starting from the exact value at
   a p-adic rounding of lam, the monotone iteration Y -> (f^c Y)^[1/p^b]
   (with c = lam*(p^b - 1) an integer) increases to tau(f^lam) by right
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 
 from thresholds.grobner import PolyIdeal, ideal_power
 from thresholds.lp import OPTIMAL, solve_lp
@@ -167,10 +167,12 @@ def _tau_principal(f: Polynomial, lam: Fraction, iter_max: int) -> TauResult:
     if lam == 0:
         return TauResult(PolyIdeal([Polynomial.one(ring)]), lam, True, 0)
     if lam >= 1:
-        # Skoda: tau(f^{1+s}) = f * tau(f^s)
-        inner = _tau_principal(f, lam - 1, iter_max)
+        # Skoda, k = floor(lam) times at once: tau(f^{k+s}) = f^k * tau(f^s)
+        k = floor(lam)
+        inner = _tau_principal(f, lam - k, iter_max)
+        fk = f.pow(k)
         return TauResult(
-            PolyIdeal([f * g for g in inner.ideal.gens]),
+            PolyIdeal([fk * g for g in inner.ideal.gens]),
             lam, inner.stabilized, inner.e_used,
         )
     d = lam.denominator
@@ -210,6 +212,8 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX,
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
+    if e_max < 1:
+        raise ValueError("e_max must be >= 1")
     gens = _gens_of(a)
     ring = gens[0].ring
     if lam == 0:
@@ -281,6 +285,8 @@ def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX,
     if grid < 1:
         raise ValueError("grid must be >= 1")
     span = Fraction(span)
+    if span <= 0:
+        raise ValueError("span must be > 0")
     jumps = []
     certified = True
     prev_ideal = tau(gens, Fraction(0), e_max=e_max, iter_max=iter_max).ideal

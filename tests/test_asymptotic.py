@@ -149,3 +149,8 @@ def test_golden_ratio_demo_small():
     values = [v for _, v in est.samples]
     assert values == sorted(values, reverse=True)
     assert est.last() - GOLDEN_HI <= Fraction(1, 256)
+
+
+def test_estimate_arn_rejects_range_below_start():
+    with pytest.raises(ValueError, match="m_max"):
+        estimate_arn(HyperbolaQ(), 15)

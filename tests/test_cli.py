@@ -12,6 +12,7 @@ import thresholds
 import thresholds.frobenius as frobenius
 import thresholds.grobner as grobner
 from thresholds.cli import build_parser, fmt_q, run
+from thresholds.rings import Ring, parse_polynomial, render_polynomial
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
@@ -176,6 +177,72 @@ def test_fpt_deep_level_encloses_cusp_threshold(capsys):
     rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3", "--p", "97", "--e", "4"])
     lo, hi = Fraction(rep["fpt"]["lo"]), Fraction(rep["fpt"]["hi"])
     assert lo <= Fraction(5, 6) <= hi
+
+
+def test_fpt_f_pure_stress_row_exits_0(capsys):
+    rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3 + z^5", "--p", "97", "--e", "3"])
+    assert rep["fpt"]["lo"] == "912672/912673" and rep["fpt"]["hi"] == "1/1"
+
+
+def test_tau_large_integer_lambda_exits_0(capsys):
+    rep = _json(capsys, ["tau", "--poly", "x^2 + y^3", "--p", "5", "--lambda", "1500"])
+    f = parse_polynomial("x^2 + y^3", Ring.prime_field(2, 5))
+    assert rep["stabilized"] is True
+    assert rep["generators"] == [render_polynomial(f.pow(1500))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--poly", "x^2 + y^3, x*y", "--p", "5", "--lambda", "1/2", "--e", "0"],
+    ["fjump", "--poly", "x^2 + y^3, x*y", "--p", "5", "--grid", "4", "--e", "0"],
+    ["asym", "--mmax", "15"],
+    ["fjump", "--poly", "x^2 + y^3", "--p", "5", "--grid", "4", "--lambda", "0"],
+])
+def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def _modules_after(code: str) -> set:
+    """Names of the modules a fresh interpreter has loaded after ``code``."""
+    src = str(Path(thresholds.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_only_the_cli():
+    loaded = _modules_after("import thresholds.cli")
+    assert {m for m in loaded if m.startswith("thresholds")} == {
+        "thresholds", "thresholds.cli"
+    }
+    assert "dataclasses" not in loaded
+
+
+def test_lct_loads_only_the_modules_it_runs():
+    loaded = _modules_after(
+        "import contextlib, io, thresholds.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['lct', '--monomial', 'x^2, y^3']) == 0"
+    )
+    assert "thresholds.newton" in loaded
+    for name in ("frobenius", "grobner", "testideal", "redmodp", "asymptotic", "lct0"):
+        assert f"thresholds.{name}" not in loaded
+
+
+def test_package_names_resolve_on_first_access():
+    loaded = _modules_after(
+        "from thresholds import Ring, MonomialIdeal, ThresholdResult, lct_monomial\n"
+        "assert str(lct_monomial(MonomialIdeal.parse('x^2, y^3'))) == '5/6'\n"
+        "assert ThresholdResult.exact(1, 'LP').certified and Ring"
+    )
+    assert "thresholds.lct0" in loaded
+    with pytest.raises(AttributeError):
+        thresholds.no_such_name
 
 
 def test_cli_import_pulls_in_no_numpy():

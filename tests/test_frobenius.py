@@ -119,6 +119,10 @@ def _principal_cases(draw):
 
 
 @given(_principal_cases())
+# F-pure f (nu(1) = p - 1), where the level walk stops after level 1
+@example((parse_polynomial("x*y + x^3", F3), 3))
+@example((parse_polynomial("x + y^2", F5), 3))
+@example((parse_polynomial("x^3 + y^3 + z^3", Ring.prime_field(3, 7)), 2))
 def test_nu_principal_sweep_matches_bisection(case):
     f, e = case
     assert nu(f, e) == _nu_bisection(f, f.ring.p**e)

@@ -156,6 +156,32 @@ def test_tau_degree_bound():
         assert all(g.total_degree() <= lam * d for g in res.ideal.gens)
 
 
+def _tau_skoda_one_at_a_time(f, lam):
+    """tau(f^lam) = f * tau(f^{lam-1}) applied once per unit of lam."""
+    if lam < 1:
+        return tau([f], lam).ideal
+    return PolyIdeal([f * g for g in _tau_skoda_one_at_a_time(f, lam - 1).gens])
+
+
+@pytest.mark.parametrize("ring", [F5, F7])
+@pytest.mark.parametrize(
+    "lam", [1, 2, Fraction(5, 2), Fraction(7, 3), Fraction(13, 4)]
+)
+def test_tau_principal_skoda_in_one_step(ring, lam):
+    f = P("x^2+y^3", ring)
+    res = tau([f], lam)
+    assert res.stabilized
+    assert res.ideal.equal(_tau_skoda_one_at_a_time(f, Fraction(lam)))
+
+
+def test_tau_and_fjump_reject_bad_parameters():
+    gens = [P("x^2+y^3"), P("x*y")]
+    with pytest.raises(ValueError, match="e_max"):
+        tau(gens, Fraction(1, 2), e_max=0)
+    with pytest.raises(ValueError, match="span"):
+        fjump_scan([P("x^2+y^3")], 6, 0)
+
+
 def test_skoda_and_scaling_checks():
     assert check_skoda([P("x^2"), P("y^3")], 2)
     assert check_skoda([P("x^2+y^3")], Fraction(11, 6))
