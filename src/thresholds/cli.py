@@ -121,8 +121,6 @@ def _cmd_lct(args):
     from thresholds import newton
 
     value = newton.lct_monomial(newton.MonomialIdeal.parse(args.monomial))
-    if value == newton.INFINITY:
-        raise ValueError("improper ideal: threshold is infinite")
     return {"lct": fmt_q(value), "method": "LP"}, True
 
 
@@ -175,10 +173,9 @@ def _cmd_newton(args):
     from thresholds import newton
 
     ideal = newton.MonomialIdeal.parse(args.monomial)
-    value = newton.lct_monomial(ideal)
     report = {
         "generators": [list(g) for g in ideal.gens],
-        "lct": None if value == newton.INFINITY else fmt_q(value),
+        "lct": fmt_q(newton.lct_monomial(ideal)) if ideal.is_proper() else None,
         "m_primary": ideal.is_m_primary(),
     }
     if ideal.is_m_primary():

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from thresholds.lct0 import ThresholdResult
 from thresholds.newton import MonomialIdeal, lct_monomial
@@ -21,17 +20,18 @@ from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
     monomial_coefficient,
+    product_sweep,
 )
 
 DEFAULT_BOX_BUDGET = 10**7
-DEFAULT_PRODUCT_BUDGET = 10**6
+DEFAULT_PRODUCT_BUDGET = 10**6  # term pairs multiplied by product_sweep
+PE_CAP = 10**8  # nu_sequence stops before the first level p^e above this
 
 
 @dataclass(frozen=True)
 class FrobeniusContext:
     p: int
     e_max: int = 4
-    pe_cap: int = 10**8
 
     def __post_init__(self):
         from thresholds.rings import is_prime
@@ -122,59 +122,14 @@ def _nu_box(exps, n: int, q: int) -> int:
         reach, i = nxt, i + 1
 
 
-def _times(prod, g, q: int, p: int):
-    """Monic prod*g with every term that has an exponent >= q dropped.
-
-    Products are frozensets of (exponent, coefficient) pairs; the result is
-    None when no term survives.
-    """
-    out: dict = {}
-    for eb, cb in g:
-        for ea, ca in prod:
-            exp = tuple(map(add, ea, eb))
-            if max(exp) < q:
-                out[exp] = out.get(exp, 0) + ca * cb
-    out = {exp: c % p for exp, c in out.items() if c % p}
-    if not out:
-        return None
-    inv = pow(out[max(out)], p - 2, p)
-    return frozenset((exp, c * inv % p) for exp, c in out.items())
-
-
-def _sweep(gens, q: int, p: int, frontier: dict, i: int, budget: int):
-    """Multiply the degree-i products up until none is left modulo m^[q].
-
-    ``frontier`` maps each monic product of i generators that is nonzero
-    modulo m^[q] to the smallest generator index it may still be multiplied
-    by; indices never decrease, so each multiset of generators is formed
-    once.  Returns the last degree with a nonzero product, the products of
-    that degree and the term budget left.
-    """
-    while True:
-        nxt: dict = {}
-        for prod, start in frontier.items():
-            for j in range(start, len(gens)):
-                budget -= len(prod) * len(gens[j])
-                if budget < 0:
-                    raise BudgetExceededError(
-                        "generator-product sweep exceeded its term budget"
-                    )
-                r = _times(prod, gens[j], q, p)
-                if r is not None and j < nxt.get(r, len(gens)):
-                    nxt[r] = j
-        if not nxt:
-            return i, frontier, budget
-        frontier, i = nxt, i + 1
-
-
 def nu(a, e: int) -> int:
     """Largest i with a^i not contained in m^[p^e], at the origin.
 
     Monomial ideals sweep the exponent box (:func:`_nu_box`); every other
-    ideal sweeps its generator products (:func:`_sweep`).  A principal
-    ideal walks the levels p, p^2, ..., p^e: over F_p, f^(p*j) modulo
-    m^[p*q] is f^j modulo m^[q] with every exponent multiplied by p, and
-    p*nu(k) <= nu(k+1) <= p*nu(k) + p - 1 (Blickle-Mustata-Smith,
+    ideal sweeps its generator products (:func:`rings.product_sweep`).  A
+    principal ideal walks the levels p, p^2, ..., p^e: over F_p, f^(p*j)
+    modulo m^[p*q] is f^j modulo m^[q] with every exponent multiplied by p,
+    and p*nu(k) <= nu(k+1) <= p*nu(k) + p - 1 (Blickle-Mustata-Smith,
     F-thresholds of hypersurfaces), so level k+1 resumes from the p-th power
     of level k's last product and takes at most p - 1 further steps.
 
@@ -201,19 +156,20 @@ def nu(a, e: int) -> int:
     frontier, i = {frozenset({((0,) * ring.nvars, 1)}): 0}, 0
     if len(gens) == 1:
         for k in range(1, e):
-            i, frontier, budget = _sweep(terms, p**k, p, frontier, i, budget)
+            d, frontier, budget = product_sweep(terms, p, p**k, frontier, budget)
+            i += d
             if i == p**k - 1:
                 return p**e - 1
             (prod,) = frontier
             lifted = frozenset((tuple(x * p for x in u), c) for u, c in prod)
             frontier, i = {lifted: 0}, i * p
-    return _sweep(terms, p**e, p, frontier, i, budget)[0]
+    return i + product_sweep(terms, p, p**e, frontier, budget)[0]
 
 
 def nu_sequence(a, ctx: FrobeniusContext, description: str = "") -> NuSequence:
     values = []
     for e in range(1, ctx.e_max + 1):
-        if ctx.p**e > ctx.pe_cap:
+        if ctx.p**e > PE_CAP:
             break
         values.append(nu(a, e))
     return NuSequence(ctx.p, tuple(values), description)

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from thresholds.newton import MonomialIdeal, minimal_points
-from thresholds.rings import BudgetExceededError, Polynomial, Ring, grevlex_key
+from thresholds.rings import (
+    BudgetExceededError,
+    Polynomial,
+    Ring,
+    grevlex_key,
+    product_sweep,
+)
 
 DEFAULT_PAIR_BUDGET = 10**5
 
@@ -75,10 +81,8 @@ def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     return mf * f - mg * g
 
 
-def groebner_basis(gens, pair_budget: int | None = None) -> tuple:
+def groebner_basis(gens) -> tuple:
     """Reduced grevlex Groebner basis, monic, sorted by leading term."""
-    if pair_budget is None:
-        pair_budget = DEFAULT_PAIR_BUDGET
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("zero ideal has no generators here")
@@ -101,7 +105,7 @@ def groebner_basis(gens, pair_budget: int | None = None) -> tuple:
         )
         i, j = pairs.pop()
         processed += 1
-        if processed > pair_budget:
+        if processed > DEFAULT_PAIR_BUDGET:
             raise BudgetExceededError("S-pair budget exceeded")
         fe, ge = _leading(basis[i])[0], _leading(basis[j])[0]
         lcm = _lcm(fe, ge)
@@ -158,7 +162,7 @@ class PolyIdeal:
     ring: Ring
     gens: tuple
 
-    def __init__(self, gens, pair_budget: int | None = None):
+    def __init__(self, gens):
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             raise ValueError("need at least one nonzero generator")
@@ -171,15 +175,12 @@ class PolyIdeal:
             ]
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "_budget", pair_budget)
         object.__setattr__(self, "_mono", mono)
         object.__setattr__(self, "_gb", None if mono is None else self.gens)
 
     def groebner(self) -> tuple:
         if self._gb is None:
-            object.__setattr__(
-                self, "_gb", groebner_basis(list(self.gens), self._budget)
-            )
+            object.__setattr__(self, "_gb", groebner_basis(list(self.gens)))
         return self._gb
 
     def is_monomial(self) -> bool:
@@ -203,28 +204,26 @@ class PolyIdeal:
         return self.groebner() == other.groebner()
 
     def product(self, other: "PolyIdeal") -> "PolyIdeal":
-        return PolyIdeal(
-            [f * g for f in self.gens for g in other.gens], self._budget
-        )
+        return PolyIdeal([f * g for f in self.gens for g in other.gens])
 
 
-def ideal_power(gens, r: int, budget: int = 10**5) -> list:
-    """Generators of the r-th power: all degree-r products of generators."""
-    from itertools import combinations_with_replacement
+def ideal_power(gens, r: int) -> list:
+    """Generators of a^r over F_p: the monic degree-r products of the nonzero
+    generators, each distinct one once.
+
+    The products come from :func:`rings.product_sweep` with a ceiling q above
+    every exponent of a degree-r product, so no term is dropped; the sweep
+    is charged to ``frobenius.DEFAULT_PRODUCT_BUDGET``.
+    """
+    from thresholds import frobenius  # the budget is read at call time
 
     if r < 1:
         raise ValueError("power must be >= 1")
-    out = []
-    seen = set()
-    count = 0
-    for combo in combinations_with_replacement(gens, r):
-        prod = combo[0]
-        for g in combo[1:]:
-            prod = prod * g
-        count += 1
-        if count > budget:
-            raise BudgetExceededError("ideal power budget exceeded")
-        if prod not in seen:
-            seen.add(prod)
-            out.append(prod)
-    return out
+    ring = gens[0].ring
+    terms = [tuple(g.terms.items()) for g in gens]
+    q = 1 + r * max(max(exp) for g in gens for exp in g.terms)
+    one = {frozenset({((0,) * ring.nvars, 1)}): 0}
+    _, products, _ = product_sweep(
+        terms, ring.p, q, one, frobenius.DEFAULT_PRODUCT_BUDGET, r
+    )
+    return [Polynomial(ring, dict(prod)) for prod in products]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from thresholds.newton import INFINITY, MonomialIdeal, lct_monomial
+from thresholds.newton import MonomialIdeal, lct_monomial
 
 
 class UnsupportedFamilyError(ValueError):
@@ -112,10 +112,7 @@ def lct_closed_form(family) -> ThresholdResult:
     if isinstance(family, Node):
         return ThresholdResult.exact(Fraction(1))
     if isinstance(family, Monomial):
-        value = lct_monomial(family.ideal)
-        if value == INFINITY:
-            raise ValueError("improper monomial ideal has infinite threshold")
-        return ThresholdResult(value, value, True, "LP")
+        return ThresholdResult.exact(lct_monomial(family.ideal), "LP")
     raise UnsupportedFamilyError(f"no closed form for {family!r}")
 
 
@@ -140,6 +137,4 @@ def lct_general_combination(ideal_lct) -> Fraction:
     Valid for generic coefficients only: specific coefficient choices can have
     a smaller threshold, and genericity is not decidable from the input.
     """
-    if ideal_lct == INFINITY:
-        return Fraction(1)
     return min(Fraction(ideal_lct), Fraction(1))

@@ -15,8 +15,6 @@ from fractions import Fraction
 from thresholds.lp import OPTIMAL, solve_lp
 from thresholds.rings import Ring, parse_polynomial
 
-INFINITY = float("inf")  # sentinel for improper-ideal thresholds
-
 
 class DimensionMismatchError(ValueError):
     pass
@@ -107,17 +105,6 @@ class MonomialIdeal:
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains_monomial(g) for g in other.gens)
 
-    def power(self, r: int) -> "MonomialIdeal":
-        if r < 1:
-            raise ValueError("power must be >= 1")
-        from itertools import combinations_with_replacement
-
-        gens = [
-            tuple(sum(col) for col in zip(*combo))
-            for combo in combinations_with_replacement(self.gens, r)
-        ]
-        return MonomialIdeal(self.n, gens)
-
     def scaled(self, r: int) -> "MonomialIdeal":
         """All generator exponents multiplied by r (Newton polyhedron r*P)."""
         return MonomialIdeal(self.n, [tuple(r * x for x in g) for g in self.gens])
@@ -182,14 +169,13 @@ def diagonal_entry_min(P: NewtonPolyhedron) -> Fraction:
     return res.objective
 
 
-def lct_monomial(a: MonomialIdeal):
+def lct_monomial(a: MonomialIdeal) -> Fraction:
     """Howald's formula: max lambda with (1,...,1) in lambda*P(a).
 
-    Returns the exact rational threshold, or the infinity sentinel for an
-    improper ideal.
+    An improper ideal has no finite threshold and raises ``ValueError``.
     """
     if not a.is_proper():
-        return INFINITY
+        raise ValueError("improper ideal: threshold is infinite")
     t_star = diagonal_entry_min(a.newton_polyhedron())
     return Fraction(1) / t_star
 

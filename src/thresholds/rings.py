@@ -6,14 +6,18 @@ per variable, arbitrary precision).  Coefficients are ``Fraction`` over Q,
 part of the ring context; mixing ring contexts raises ``RingMismatchError``
 rather than coercing.
 
-Besides the ring arithmetic this module provides the two characteristic-p
+Besides the ring arithmetic this module provides the characteristic-p
 primitives everything else is built on:
 
 * ``frobenius_decompose(h, e)`` writes ``h = sum_w u_w^{p^e} * x^w`` over the
   monomial basis ``x^w`` with every entry of ``w`` in ``[0, p^e - 1]``.
-* ``monomial_coefficient(f, k, u)`` extracts the coefficient of ``x^u`` in
-  ``f^k`` without expanding ``f^k`` when ``f`` has few terms (multinomial sum,
-  reduced mod p by the Lucas rule).
+* ``product_sweep`` forms the products of a generator list degree by degree,
+  each multiset of generators once, optionally modulo ``m^[q]``; it gives
+  both nu and the ideal powers a^r.
+* ``power_coefficients(f, k, ceiling)`` reads the coefficients of ``f^k`` at
+  the exponents below a ceiling without expanding ``f^k`` (pruned
+  multinomial walk, reduced mod p by the Lucas rule); coefficient extraction
+  and the reduced-term test both read it.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import add, le
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
 DEFAULT_TERM_BUDGET = 10**7
+WALK_BUDGET = 10**6  # nodes a multinomial walk may visit
 
 
 class RingMismatchError(ValueError):
@@ -224,7 +230,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return self.mul(other)
 
-    def mul(self, other: "Polynomial", term_budget: int = DEFAULT_TERM_BUDGET) -> "Polynomial":
+    def mul(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         out = {}
         a, b = self.terms, other.terms
@@ -234,9 +240,9 @@ class Polynomial:
             for eb, cb in b.items():
                 exp = tuple(i + j for i, j in zip(ea, eb))
                 out[exp] = out.get(exp, 0) + ca * cb
-            if len(out) > term_budget:
+            if len(out) > DEFAULT_TERM_BUDGET:
                 raise BudgetExceededError(
-                    f"product exceeds term budget {term_budget}"
+                    f"product exceeds term budget {DEFAULT_TERM_BUDGET}"
                 )
         return Polynomial(self.ring, out)
 
@@ -247,19 +253,18 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         return self.pow(k)
 
-    def pow(self, k: int, term_budget: int = DEFAULT_TERM_BUDGET) -> "Polynomial":
-        """Binary powering with a term-count budget to fail fast."""
+    def pow(self, k: int) -> "Polynomial":
+        """Binary powering; the first set bit of k takes the base as is."""
         if k < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.one(self.ring)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result.mul(base, term_budget)
+                result = base if result is None else result.mul(base)
             k >>= 1
             if k:
-                base = base.mul(base, term_budget)
-        return result
+                base = base.mul(base)
+        return Polynomial.one(self.ring) if result is None else result
 
     def shift(self, exp: Exponent) -> "Polynomial":
         """Multiply by the monomial x^exp."""
@@ -355,117 +360,132 @@ def multinomial_mod_p(parts, p: int) -> int:
     return out
 
 
-def monomial_coefficient(f: Polynomial, k: int, u: Exponent):
-    """Coefficient of ``x^u`` in ``f^k`` via a pruned multinomial sum.
+def power_coefficients(f: Polynomial, k: int, ceiling: Exponent) -> dict:
+    """Nonzero coefficients of ``f^k`` at the exponents ``<= ceiling``.
 
-    Enumerates compositions of ``k`` over the support of ``f`` whose exponent
-    vectors add to exactly ``u``; contributions sharing an exponent vector are
-    summed, so coefficient cancellation is handled correctly.  Agrees with the
-    expansion path (tested); intended for few-term ``f``.
+    Walks the compositions ``k = j_1 + ... + j_m`` over the terms
+    ``c_i x^(a_i)`` of ``f``: one contributes ``multinomial(j) * prod c_i^j_i``
+    at ``sum j_i a_i``.  A branch ends as soon as its partial exponent would
+    pass the ceiling, and contributions are summed per exponent, so
+    cancellation is respected without expanding ``f^k``.
     """
     if k < 0:
         raise ValueError("negative power")
-    u = tuple(u)
-    if len(u) != f.ring.nvars:
+    ring = f.ring
+    ceiling = tuple(ceiling)
+    if len(ceiling) != ring.nvars:
         raise ValueError("exponent length mismatch")
-    ring = f.ring
-    if k == 0:
-        return ring.coeff(1) if all(x == 0 for x in u) else ring.coeff(0)
+    p = ring.p if ring.fieldtag == "Fp" else None
+    # a fixed term order makes the walk independent of how f was built; the
+    # zero polynomial walks as the single term 0*x^0, so 0^0 = 1
     items = sorted(f.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-    modp = ring.fieldtag == "Fp"
-    acc = 0
+    items = items or [((0,) * ring.nvars, 0)]
+    last = len(items) - 1
+    out: dict = {}
+    counts: list = []
+    visits = 0
 
-    def descend(idx: int, remaining: int, target: Exponent, coeff_prod):
-        nonlocal acc
-        if idx == len(items) - 1:
-            exp, c = items[idx]
-            scaled = tuple(x * remaining for x in exp)
-            if scaled == target:
+    def descend(idx: int, remaining: int, room: Exponent, coeff_prod):
+        # room is the ceiling minus the exponent formed so far
+        nonlocal visits
+        exp, c = items[idx]
+        if idx == last:
+            scaled = tuple([y * remaining for y in exp])
+            if all(map(le, scaled, room)):
+                final = tuple([t - r + y for t, r, y in zip(ceiling, room, scaled)])
                 parts = counts + [remaining]
-                mult = (
-                    multinomial_mod_p(parts, ring.p)
-                    if modp
-                    else multinomial_exact(parts)
-                )
-                acc += mult * coeff_prod * c**remaining
+                mult = multinomial_mod_p(parts, p) if p else multinomial_exact(parts)
+                out[final] = out.get(final, 0) + mult * coeff_prod * c**remaining
             return
-        exp, c = items[idx]
         cap = remaining
-        for x, t in zip(exp, target):
+        for x, r in zip(exp, room):
             if x > 0:
-                cap = min(cap, t // x)
+                cap = min(cap, r // x)
+        visits += cap + 1
+        if visits > WALK_BUDGET:
+            raise BudgetExceededError("multinomial walk exceeded its visit budget")
         power = 1
         for j in range(cap + 1):
-            new_target = tuple(t - j * x for t, x in zip(target, exp))
             counts.append(j)
-            descend(idx + 1, remaining - j, new_target, coeff_prod * power)
+            descend(idx + 1, remaining - j,
+                    tuple([r - j * x for r, x in zip(room, exp)]),
+                    coeff_prod * power)
             counts.pop()
-            power = power * c
-            if modp:
-                power %= ring.p
+            power = power * c % p if p else power * c
 
-    counts: list = []
-    descend(0, k, u, 1)
-    return ring.coeff(acc)
+    descend(0, k, ceiling, 1)
+    return {exp: c for exp, v in out.items() if (c := ring.coeff(v))}
 
 
-def power_has_reduced_term(
-    f: Polynomial, k: int, bound: int, budget: int = 10**6
-) -> bool:
-    """Whether ``f^k`` has a nonzero term with every exponent below ``bound``.
+def monomial_coefficient(f: Polynomial, k: int, u: Exponent):
+    """Coefficient of ``x^u`` in ``f^k``: the walk with ceiling ``u``."""
+    return power_coefficients(f, k, u).get(tuple(u), f.ring.coeff(0))
 
-    This decides ``f^k`` not in ``(x_1^bound, ..., x_n^bound)`` without
-    expanding ``f^k``.  Contributions are grouped by exponent vector so
-    cancellation mod p is respected; the search prunes any branch whose
-    partial exponent already reaches ``bound`` in some coordinate.
+
+def power_has_reduced_term(f: Polynomial, k: int, bound: int) -> bool:
+    """Whether ``f^k`` has a nonzero term with every exponent below ``bound``,
+    that is ``f^k`` not in ``(x_1^bound, ..., x_n^bound)``."""
+    return bool(power_coefficients(f, k, (bound - 1,) * f.ring.nvars))
+
+
+# ----------------------------------------------------------------------
+# Products of generators
+# ----------------------------------------------------------------------
+
+def _times(prod, g, q: int, p: int):
+    """Monic prod*g with every term that has an exponent >= q dropped.
+
+    Products are frozensets of (exponent, coefficient) pairs; the result is
+    None when no term survives.
     """
-    if k == 0:
-        return True
-    ring = f.ring
-    modp = ring.fieldtag == "Fp"
-    items = list(f.terms.items())
-    m = len(items)
-    reduced: dict = {}
-    visited = 0
+    out: dict = {}
+    for eb, cb in g:
+        for ea, ca in prod:
+            exp = tuple(map(add, ea, eb))
+            if max(exp) < q:
+                out[exp] = (out.get(exp, 0) + ca * cb) % p
+    if 0 in out.values():
+        out = {exp: c for exp, c in out.items() if c}
+    if not out:
+        return None
+    inv = pow(out[max(out)], p - 2, p)
+    if inv != 1:
+        out = {exp: c * inv % p for exp, c in out.items()}
+    return frozenset(out.items())
 
-    def descend(idx: int, remaining: int, partial: Exponent, coeff_prod):
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise BudgetExceededError("reduced-term enumeration budget exceeded")
-        if idx == m - 1:
-            exp, c = items[idx]
-            final = tuple(x + y * remaining for x, y in zip(partial, exp))
-            if any(x >= bound for x in final):
-                return
-            parts = counts + [remaining]
-            mult = (
-                multinomial_mod_p(parts, ring.p) if modp else multinomial_exact(parts)
-            )
-            contrib = mult * coeff_prod * c**remaining
-            if modp:
-                contrib %= ring.p
-            if contrib:
-                reduced[final] = (reduced.get(final, 0) + contrib) % ring.p if modp else reduced.get(final, 0) + contrib
-            return
-        exp, c = items[idx]
-        cap = remaining
-        for x, pa in zip(exp, partial):
-            if x > 0:
-                cap = min(cap, (bound - 1 - pa) // x)
-        power = 1
-        for j in range(cap + 1):
-            new_partial = tuple(pa + j * x for pa, x in zip(partial, exp))
-            counts.append(j)
-            descend(idx + 1, remaining - j, new_partial, coeff_prod * power)
-            counts.pop()
-            power = power * c
-            if modp:
-                power %= ring.p
 
-    counts: list = []
-    descend(0, k, (0,) * ring.nvars, 1)
-    return any(v != 0 for v in reduced.values())
+def product_sweep(gens, p: int, q: int, frontier: dict, budget: int,
+                  steps: int | None = None) -> tuple:
+    """Multiply generator products up degree by degree modulo m^[q] over F_p.
+
+    ``gens`` holds each generator's (exponent, coefficient) pairs.
+    ``frontier`` maps each monic product of one degree that is nonzero
+    modulo m^[q] to the smallest generator index it may still be multiplied
+    by; indices never decrease, so each multiset of generators is formed
+    once, and equal monic products are kept once.  A product costs the
+    number of term pairs it multiplies, charged to ``budget``.  The sweep
+    stops after ``steps`` degrees, or when none is given, before the first
+    degree with no product left.  Returns the number of degrees taken, the
+    products of the last one and the budget left.
+    """
+    taken = 0
+    while steps is None or taken < steps:
+        nxt: dict = {}
+        for prod, start in frontier.items():
+            size = len(prod)
+            for j in range(start, len(gens)):
+                budget -= size * len(gens[j])
+                if budget < 0:
+                    raise BudgetExceededError(
+                        "generator-product sweep exceeded its term budget"
+                    )
+                r = _times(prod, gens[j], q, p)
+                if r is not None and j < nxt.get(r, len(gens)):
+                    nxt[r] = j
+        if not nxt:
+            break
+        frontier, taken = nxt, taken + 1
+    return taken, frontier, budget
 
 
 # ----------------------------------------------------------------------

@@ -28,11 +28,7 @@ from math import ceil, floor
 from thresholds.grobner import PolyIdeal, ideal_power
 from thresholds.lp import OPTIMAL, solve_lp
 from thresholds.newton import MonomialIdeal
-from thresholds.rings import (
-    BudgetExceededError,
-    Polynomial,
-    frobenius_decompose,
-)
+from thresholds.rings import Polynomial, frobenius_decompose
 
 DEFAULT_E_MAX = 5
 DEFAULT_ITER_MAX = 40
@@ -79,8 +75,7 @@ class TauResult:
     e_used: int
 
 
-def ascending_chain(a, lam, e_max: int = DEFAULT_E_MAX, *,
-                    power_budget: int = 10**5) -> list:
+def ascending_chain(a, lam, e_max: int = DEFAULT_E_MAX) -> list:
     """The chain I_e = (a^{ceil(lam p^e)})^[1/p^e], e = 1..e_max.
 
     Ascends to tau(a^lam); each member is a certified lower bound but the
@@ -93,7 +88,7 @@ def ascending_chain(a, lam, e_max: int = DEFAULT_E_MAX, *,
     chain = []
     for e in range(1, e_max + 1):
         r = ceil(lam * p**e)
-        cur = frobenius_root(ideal_power(gens, r, power_budget), e)
+        cur = frobenius_root(ideal_power(gens, r), e)
         if chain and not cur.contains(chain[-1]):
             raise AssertionError("Frobenius-root chain failed to ascend")
         chain.append(cur)
@@ -207,7 +202,7 @@ def _tau_principal(f: Polynomial, lam: Fraction, iter_max: int) -> TauResult:
 
 
 def tau(a, lam, *, e_max: int = DEFAULT_E_MAX,
-        iter_max: int = DEFAULT_ITER_MAX, power_budget: int = 10**5) -> TauResult:
+        iter_max: int = DEFAULT_ITER_MAX) -> TauResult:
     """Test ideal tau(a^lam) with a certificate whenever one is available."""
     lam = Fraction(lam)
     if lam < 0:
@@ -226,7 +221,7 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX,
         )
     if len(gens) == 1:
         return _tau_principal(gens[0], lam, iter_max)
-    chain = ascending_chain(gens, lam, e_max, power_budget=power_budget)
+    chain = ascending_chain(gens, lam, e_max)
     one = Polynomial.one(ring)
     for e, cur in enumerate(chain, start=1):
         if cur.member(one):

@@ -168,6 +168,23 @@ def test_budget_env_exit_3(capsys, monkeypatch):
     assert run(["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "1"]) == 2
 
 
+def test_budget_env_caps_the_chain_powers(capsys, monkeypatch):
+    argv = ["tau", "--poly", "x^2 + y^3, x*y", "--p", "3", "--lambda", "1", "--e", "1"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("THRESHOLDS_BUDGET", "20")
+    assert run(argv) == 3
+    # a^3 runs out of products before Buchberger runs out of S-pairs
+    assert "generator-product sweep" in capsys.readouterr().err
+
+
+def test_improper_ideal_has_no_threshold(capsys):
+    assert run(["lct", "--monomial", "1, x"]) == 2
+    assert capsys.readouterr().err == "error: improper ideal: threshold is infinite\n"
+    rep = _json(capsys, ["newton", "--monomial", "1, x"])
+    assert rep["lct"] is None and rep["m_primary"] is False
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

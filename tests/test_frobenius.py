@@ -15,6 +15,7 @@ from thresholds.frobenius import (
     nu,
     nu_sequence,
 )
+from thresholds.grobner import ideal_power
 from thresholds.newton import MonomialIdeal, lct_monomial
 from thresholds.rings import (
     Polynomial,
@@ -186,7 +187,7 @@ def test_nu_power_identity():
     a = MonomialIdeal(2, [(2, 0), (0, 3)])
     for r in (2, 3):
         gens = [_mono(F5, g) for g in a.gens]
-        gens_r = [_mono(F5, g) for g in a.power(r).gens]
+        gens_r = ideal_power(gens, r)
         for e in (1, 2):
             lo = nu(gens_r, e)
             mid = nu(gens, e)

@@ -1,14 +1,18 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import ideal_members, nonzero_polynomials, polynomials
+from thresholds import frobenius
 from thresholds.grobner import (
     PolyIdeal,
     groebner_basis,
     ideal_power,
     normal_form,
 )
-from thresholds.rings import Polynomial, Ring, parse_polynomial
+from thresholds.rings import BudgetExceededError, Polynomial, Ring, parse_polynomial
+from thresholds.testideal import ascending_chain
 
 F5 = Ring.prime_field(2, 5)
 F7 = Ring.prime_field(2, 7)
@@ -137,6 +141,51 @@ def test_ideal_power_small_oracle():
     assert PolyIdeal(sq).equal(PolyIdeal([P("x^2"), P("x*y"), P("y^2")]))
     with pytest.raises(ValueError):
         ideal_power(gens, 0)
+
+
+def _power_by_combinations(gens, r):
+    """Oracle: every multiset of r generators multiplied out from scratch."""
+    out = []
+    for combo in combinations_with_replacement(gens, r):
+        prod = combo[0]
+        for g in combo[1:]:
+            prod = prod * g
+        out.append(prod)
+    return out
+
+
+def _monic(f):
+    lead = max(f.terms)
+    return f.scale(f.ring.coeff_inv(f.terms[lead]))
+
+
+@st.composite
+def _power_cases(draw):
+    ring = Ring.prime_field(2, draw(st.sampled_from([2, 3, 5])))
+    gens = draw(st.lists(nonzero_polynomials(ring, max_terms=2, max_exp=2),
+                         min_size=1, max_size=3))
+    return gens, draw(st.integers(1, 5))
+
+
+@given(_power_cases())
+def test_ideal_power_matches_combinations(case):
+    gens, r = case
+    oracle = _power_by_combinations(gens, r)
+    power = ideal_power(gens, r)
+    # one monic product per distinct multiset product, and the same ideal
+    assert len(set(power)) == len(power)
+    assert set(power) == {_monic(f) for f in oracle}
+    assert PolyIdeal(power).equal(PolyIdeal(oracle))
+
+
+def test_product_budget_caps_ideal_power(monkeypatch):
+    gens = [P("x^2 + y"), P("y^3 + x*y")]
+    assert len(ideal_power(gens, 4)) == 5
+    monkeypatch.setattr(frobenius, "DEFAULT_PRODUCT_BUDGET", 20)
+    with pytest.raises(BudgetExceededError):
+        ideal_power(gens, 4)
+    with pytest.raises(BudgetExceededError):
+        ascending_chain(gens, 1, 2)
 
 
 @given(nonzero_polynomials(F7, max_terms=2, max_exp=2),

@@ -80,7 +80,9 @@ def test_truncation_bound_values():
 def test_general_combination_clamps():
     assert lct_general_combination(Fraction(5, 6)) == Fraction(5, 6)
     assert lct_general_combination(Fraction(3)) == 1
-    assert lct_general_combination(float("inf")) == 1
+    # an improper ideal has no threshold to clamp: its lct raises instead
+    with pytest.raises(ValueError, match="infinite"):
+        lct_closed_form(Monomial(MonomialIdeal(2, [(0, 0)])))
 
 
 def test_threshold_result_invariants():

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import nonzero_polynomials, polynomials
+from thresholds import rings
 from thresholds.rings import (
+    BudgetExceededError,
     ParseError,
     Polynomial,
     Ring,
@@ -136,12 +138,42 @@ def test_power_has_reduced_term_matches_expansion(f, k, bound):
     assert power_has_reduced_term(f, k, bound) == expected
 
 
+def test_walk_budget_covers_both_coefficient_reads(monkeypatch):
+    f = parse_polynomial("x^2 + x*y + y^3", F5)
+    assert monomial_coefficient(f, 12, (12, 12)) == f.pow(12).coefficient((12, 12))
+    monkeypatch.setattr(rings, "WALK_BUDGET", 5)
+    with pytest.raises(BudgetExceededError):
+        monomial_coefficient(f, 12, (12, 12))
+    with pytest.raises(BudgetExceededError):
+        power_has_reduced_term(f, 12, 13)
+
+
 def test_pow_matches_repeated_multiplication():
     f = parse_polynomial("x^2+y^3", F5)
     acc = Polynomial.one(F5)
     for k in range(6):
         assert f.pow(k) == acc
         acc = acc * f
+
+
+def test_pow_multiplies_from_the_first_set_bit(monkeypatch):
+    f = parse_polynomial("x^2+y^3", F5)
+    calls = []
+    mul = Polynomial.mul
+
+    def counted(self, *args):
+        calls.append(1)
+        return mul(self, *args)
+
+    monkeypatch.setattr(Polynomial, "mul", counted)
+    assert f.pow(1) == f and not calls
+    for k in range(1, 6):
+        calls.clear()
+        f.pow(2**k)
+        assert len(calls) == k  # k squarings, no product with 1
+    calls.clear()
+    f.pow(0b10110)
+    assert len(calls) == 4 + 2  # 4 squarings, 2 set bits after the first
 
 
 def test_ring_mismatch_rejected():
