@@ -18,7 +18,6 @@ _OWNERS = {
     "parse_polynomial": "rings",
     "render_polynomial": "rings",
     "MonomialIdeal": "newton",
-    "NewtonPolyhedron": "newton",
     "lct_monomial": "newton",
     "ThresholdResult": "lct0",
 }

@@ -17,12 +17,7 @@ from fractions import Fraction
 from math import isqrt
 
 from thresholds.lp import OPTIMAL, solve_lp
-from thresholds.newton import (
-    MonomialIdeal,
-    NewtonPolyhedron,
-    diagonal_entry_min,
-    monomial_valuation,
-)
+from thresholds.newton import MonomialIdeal, diagonal_entry_min, monomial_valuation
 
 SQRT_DIGITS = 30
 
@@ -69,7 +64,7 @@ class PowersOf:
         return self.base.scaled(m)
 
     def arn_limit(self) -> tuple:
-        t = diagonal_entry_min(self.base.newton_polyhedron())
+        t = diagonal_entry_min(self.base)
         return t, t
 
     def val_limit(self, v) -> tuple:
@@ -175,27 +170,9 @@ class HyperbolaQ:
         return 2 * lo - alpha, 2 * hi - alpha
 
 
-def _lower_hull(points):
-    """Vertices of the lower-left convex hull of a staircase point set."""
-    pts = sorted(points)
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            # drop the middle point unless it makes a strict left turn
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
-                break
-            hull.pop()
-        hull.append(p)
-    return hull
-
-
 def arn_asym(seq, m: int) -> Fraction:
     """Normalized Arnold multiplicity Arn(a_m) / m, exact."""
-    a = seq.ideal(m)
-    hull = _lower_hull(a.gens) if a.n == 2 else list(a.gens)
-    t = diagonal_entry_min(NewtonPolyhedron(a.n, hull))
-    return t / m
+    return diagonal_entry_min(seq.ideal(m)) / m
 
 
 def val_asym(seq, v, m: int) -> Fraction:

@@ -1,8 +1,8 @@
 """Newton polyhedra of monomial ideals and Howald-style threshold data.
 
 The Newton polyhedron of a monomial ideal is ``conv(gens) + R_{>=0}^n``,
-represented implicitly by the generator exponents.  Membership queries and the
-threshold value run through the exact simplex in :mod:`thresholds.lp`; the
+represented implicitly by the generator exponents.  Where a positive ray
+enters it (one exact LP) gives the threshold and the monomial test ideal; the
 multiplicity comes from an exact covolume computed by recursive slicing.
 """
 
@@ -14,10 +14,6 @@ from fractions import Fraction
 
 from thresholds.lp import OPTIMAL, solve_lp
 from thresholds.rings import Ring, parse_polynomial
-
-
-class DimensionMismatchError(ValueError):
-    pass
 
 
 class NotMPrimaryError(ValueError):
@@ -113,60 +109,45 @@ class MonomialIdeal:
         """Order at the origin: min total degree of a generator."""
         return min(sum(g) for g in self.gens)
 
-    def newton_polyhedron(self) -> "NewtonPolyhedron":
-        return NewtonPolyhedron(self.n, self.gens)
+
+def _lower_hull(points):
+    """Vertices of the lower-left convex hull of a staircase point set."""
+    pts = sorted(points)
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            # drop the middle point unless it makes a strict left turn
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                break
+            hull.pop()
+        hull.append(p)
+    return hull
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
-    """P = conv(generators) + nonnegative orthant, given by its generators."""
+def ray_entry(a: MonomialIdeal, v) -> Fraction:
+    """min{t : t*v in P(a)} for v > 0: where the ray through v enters P(a).
 
-    n: int
-    generators: tuple
-
-    def __init__(self, n: int, generators):
-        generators = tuple(tuple(Fraction(x) for x in g) for g in generators)
-        if not generators:
-            raise ValueError("empty generator set")
-        for g in generators:
-            if len(g) != n:
-                raise DimensionMismatchError("generator dimension mismatch")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", generators)
-
-
-def contains_point(P: NewtonPolyhedron, q) -> bool:
-    """Exact membership: q = sum mu_i u_i + r with mu in the simplex, r >= 0."""
-    q = [Fraction(x) for x in q]
-    if len(q) != P.n:
-        raise DimensionMismatchError(f"point has dimension {len(q)}, expected {P.n}")
-    if any(x < 0 for x in q):
-        return False
-    k = len(P.generators)
-    # feasibility: sum mu_i u_i <= q componentwise, sum mu_i = 1, mu >= 0
-    A_ub = [[P.generators[i][j] for i in range(k)] for j in range(P.n)]
-    b_ub = q
-    A_eq = [[Fraction(1)] * k]
-    b_eq = [Fraction(1)]
-    res = solve_lp([Fraction(0)] * k, A_ub, b_ub, A_eq, b_eq)
-    return res.status == OPTIMAL
-
-
-def diagonal_entry_min(P: NewtonPolyhedron) -> Fraction:
-    """min{t : (t,...,t) in P}, the Arnold multiplicity of the ideal."""
-    k = len(P.generators)
-    # variables: mu_1..mu_k, t;  minimize t  s.t.  sum mu_i u_i[j] - t <= 0
+    One exact LP in the convex weights mu of the generators and t: minimize
+    t subject to sum mu_i g_i <= t*v and sum mu_i = 1.  In two variables
+    only the vertices of P(a) can carry weight, so the rest are dropped first.
+    """
+    gens = _lower_hull(a.gens) if a.n == 2 else a.gens
+    k = len(gens)
+    # columns mu_1..mu_k, t;  one row sum_i mu_i g_i[j] - t v_j <= 0 per j
     c = [Fraction(0)] * k + [Fraction(1)]
-    A_ub = [
-        [P.generators[i][j] for i in range(k)] + [Fraction(-1)] for j in range(P.n)
-    ]
-    b_ub = [Fraction(0)] * P.n
+    A_ub = [[g[j] for g in gens] + [-Fraction(v[j])] for j in range(a.n)]
+    b_ub = [Fraction(0)] * a.n
     A_eq = [[Fraction(1)] * k + [Fraction(0)]]
-    b_eq = [Fraction(1)]
-    res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+    res = solve_lp(c, A_ub, b_ub, A_eq, [Fraction(1)])
     if res.status != OPTIMAL:
-        raise AssertionError(f"diagonal LP unexpectedly {res.status}")
+        raise AssertionError(f"ray LP unexpectedly {res.status}")
     return res.objective
+
+
+def diagonal_entry_min(a: MonomialIdeal) -> Fraction:
+    """min{t : (t,...,t) in P(a)}, the Arnold multiplicity of the ideal."""
+    return ray_entry(a, (1,) * a.n)
 
 
 def lct_monomial(a: MonomialIdeal) -> Fraction:
@@ -176,15 +157,14 @@ def lct_monomial(a: MonomialIdeal) -> Fraction:
     """
     if not a.is_proper():
         raise ValueError("improper ideal: threshold is infinite")
-    t_star = diagonal_entry_min(a.newton_polyhedron())
-    return Fraction(1) / t_star
+    return 1 / diagonal_entry_min(a)
 
 
 def monomial_valuation(v, a: MonomialIdeal) -> Fraction:
     """min over generators u of <u, v>, for v >= 0 componentwise."""
     v = [Fraction(x) for x in v]
     if len(v) != a.n:
-        raise DimensionMismatchError("valuation vector dimension mismatch")
+        raise ValueError("valuation vector dimension mismatch")
     if any(x < 0 for x in v):
         raise ValueError("monomial valuations require v >= 0")
     return min(sum(x * y for x, y in zip(g, v)) for g in a.gens)

@@ -62,6 +62,8 @@ def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
     of the exponents); other primes get a nu-based enclosure, intersected
     with the a-priori bound fpt <= lct0.
     """
+    if e_max < 1:
+        raise ValueError("e_max must be >= 1")
     lct0 = Fraction(lct0)
     residue = p % equal_modulus if equal_modulus else None
     if equal_modulus and residue == 1:

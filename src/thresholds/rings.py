@@ -266,13 +266,6 @@ class Polynomial:
                 base = base.mul(base)
         return Polynomial.one(self.ring) if result is None else result
 
-    def shift(self, exp: Exponent) -> "Polynomial":
-        """Multiply by the monomial x^exp."""
-        return Polynomial(
-            self.ring,
-            {tuple(i + j for i, j in zip(e, exp)): c for e, c in self.terms.items()},
-        )
-
     def coefficient(self, exp: Exponent):
         return self.terms.get(tuple(exp), self.ring.coeff(0))
 
@@ -307,18 +300,6 @@ def frobenius_decompose(h: Polynomial, e: int) -> dict:
         for w, bucket in components.items()
         if (poly := Polynomial(h.ring, bucket))
     }
-
-
-def frobenius_expand(components: dict, ring: Ring, e: int) -> Polynomial:
-    """Inverse of :func:`frobenius_decompose`: sum of ``u_w^{p^e} x^w``."""
-    q = ring.p**e
-    out = Polynomial.zero(ring)
-    for w, u in components.items():
-        powered = Polynomial(
-            ring, {tuple(x * q for x in exp): c for exp, c in u.terms.items()}
-        )
-        out = out + powered.shift(w)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -26,8 +26,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from thresholds.grobner import PolyIdeal, ideal_power
-from thresholds.lp import OPTIMAL, solve_lp
-from thresholds.newton import MonomialIdeal
+from thresholds.newton import MonomialIdeal, ray_entry
 from thresholds.rings import Polynomial, frobenius_decompose
 
 DEFAULT_E_MAX = 5
@@ -59,12 +58,6 @@ def frobenius_root(b, e: int) -> PolyIdeal:
     return PolyIdeal(
         [c for g in gens for c in frobenius_decompose(g, e).values()]
     )
-
-
-def frobenius_bracket_power(b: PolyIdeal, e: int) -> PolyIdeal:
-    """b^[p^e]: the ideal generated by the p^e-th powers of the generators."""
-    q = b.ring.p**e
-    return PolyIdeal([g.pow(q) for g in b.gens])
 
 
 @dataclass(frozen=True)
@@ -99,26 +92,11 @@ def ascending_chain(a, lam, e_max: int = DEFAULT_E_MAX) -> list:
 # Exact monomial test ideals
 # ----------------------------------------------------------------------
 
-def _interior_point(ideal: MonomialIdeal, lam: Fraction, v) -> bool:
-    """Is v in the interior of lam * P(ideal)?  Exact LP on the slack."""
-    k = len(ideal.gens)
-    n = ideal.n
-    # vars: mu_1..mu_k, eps; maximize eps s.t. lam*sum mu g <= v - eps
-    c = [Fraction(0)] * k + [Fraction(-1)]
-    A_ub = [
-        [lam * ideal.gens[j][i] for j in range(k)] + [Fraction(1)]
-        for i in range(n)
-    ]
-    b_ub = [Fraction(v[i]) for i in range(n)]
-    A_eq = [[Fraction(1)] * k + [Fraction(0)]]
-    res = solve_lp(c, A_ub, b_ub, A_eq, [Fraction(1)])
-    return res.status == OPTIMAL and -res.objective > 0
-
-
 def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     """tau(a^lam) for monomial a: monomials u with u+1 interior to lam*P(a).
 
-    The description is characteristic-free, so no prime appears here.
+    For v > 0, t*v is interior to P(a) exactly when t > t0 = ray_entry(a, v),
+    so v is interior to lam*P(a) iff lam*t0 < 1.  No prime appears here.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -133,7 +111,7 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     for u in product(range(bound + 1), repeat=n):
         if any(all(x >= y for x, y in zip(u, g)) for g in gens):
             continue  # already inside a found generator's shadow
-        if _interior_point(ideal, lam, [x + 1 for x in u]):
+        if lam * ray_entry(ideal, [x + 1 for x in u]) < 1:
             gens.append(u)
     if not gens:
         raise AssertionError("tau search box too small")  # pragma: no cover

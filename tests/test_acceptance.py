@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import conftest
+from oracles import frobenius_bracket_power, frobenius_expand
 from thresholds.asymptotic import (
     GOLDEN_LO,
     HyperbolaQ,
@@ -31,7 +32,6 @@ from thresholds.rings import (
     Polynomial,
     Ring,
     frobenius_decompose,
-    frobenius_expand,
     is_prime,
     parse_polynomial,
 )
@@ -40,7 +40,6 @@ from thresholds.testideal import (
     check_p_scaling,
     check_skoda,
     fjump_scan,
-    frobenius_bracket_power,
     frobenius_root,
     tau,
 )

@@ -9,14 +9,14 @@ from thresholds.asymptotic import (
     HyperbolaQ,
     PolyhedralQ,
     PowersOf,
-    _lower_hull,
     arn_asym,
     estimate_arn,
     golden_ratio_demo,
     sqrt_enclosure,
     val_asym,
 )
-from thresholds.newton import MonomialIdeal, lct_monomial
+from oracles import ray_entry_dual
+from thresholds.newton import MonomialIdeal, _lower_hull, lct_monomial
 
 
 @given(st.fractions(min_value=0, max_value=10**6), st.integers(5, 25))
@@ -113,13 +113,11 @@ def test_lower_hull_drops_interior_points():
 
 
 def test_hull_reduction_preserves_diagonal_invariant():
-    from thresholds.newton import NewtonPolyhedron, diagonal_entry_min
-
     seq = HyperbolaQ()
     for m in (5, 9, 16):
         a = seq.ideal(m)
         # the hull shortcut in arn_asym must agree with the full generator set
-        assert arn_asym(seq, m) == diagonal_entry_min(NewtonPolyhedron(2, a.gens)) / m
+        assert arn_asym(seq, m) == ray_entry_dual(a, (1, 1)) / m
         # and with the reciprocal of the log canonical threshold
         assert arn_asym(seq, m) == 1 / lct_monomial(MonomialIdeal(2, list(a.gens))) / m
 

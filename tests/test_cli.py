@@ -213,6 +213,7 @@ def test_tau_large_integer_lambda_exits_0(capsys):
     ["fjump", "--poly", "x^2 + y^3, x*y", "--p", "5", "--grid", "4", "--e", "0"],
     ["asym", "--mmax", "15"],
     ["fjump", "--poly", "x^2 + y^3", "--p", "5", "--grid", "4", "--lambda", "0"],
+    ["compare", "--poly", "x^2+y^3", "--pmax", "7", "--e", "0"],
 ])
 def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv):
     assert run(argv) == 2

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
@@ -71,3 +73,43 @@ def test_solution_is_feasible_and_beats_origin(c, rows):
         for row, bb in zip(A_ub, b_ub):
             assert sum(a * x for a, x in zip(row, res.x)) <= bb
         assert res.objective <= 0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "thresholds"
+
+
+def _uses(tree, name):
+    """(enclosing def path, e.g. ``Class.method``) of each load of ``name``,
+    and whether ``name`` is imported at all."""
+    uses, imported = set(), False
+
+    def visit(node, scope):
+        nonlocal imported
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.ImportFrom):
+                imported |= any(alias.name == name for alias in child.names)
+            elif (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                uses.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return uses, imported
+
+
+def test_solve_lp_only_in_the_ray_and_region_lps():
+    """The monomial layer asks the simplex one question, where a ray enters
+    P(a); the one other LP minimizes a weight over a region given by
+    inequalities, which has no generators to take a hull of."""
+    uses, importers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        found, imported = _uses(ast.parse(path.read_text()), "solve_lp")
+        uses |= {(path.stem, f) for f in found}
+        if imported:
+            importers.add(path.stem)
+    assert uses == {("newton", "ray_entry"), ("asymptotic", "PolyhedralQ.val_limit")}
+    assert importers == {"newton", "asymptotic"}

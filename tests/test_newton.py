@@ -1,24 +1,25 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import brute_lct_diagonal, m_primary_exponent_sets, monomial_exponent_sets
+from oracles import contains_point, ray_entry_dual, tau_by_slack
 from thresholds.grobner import ideal_power
 from thresholds.newton import (
     MonomialIdeal,
-    NewtonPolyhedron,
     NotMPrimaryError,
     check_amgm,
-    contains_point,
     covolume,
     diagonal_entry_min,
     lct_monomial,
     minimal_points,
     monomial_valuation,
     multiplicity_monomial,
+    ray_entry,
 )
 from thresholds.rings import Polynomial, Ring
+from thresholds.testideal import tau_monomial
 
 
 def _power(a, r):
@@ -133,16 +134,56 @@ def test_lct_disjoint_variables_add():
 
 def test_contains_point_tight_at_threshold():
     a = MonomialIdeal.parse("x^2, y^3")
-    P = a.newton_polyhedron()
     lct = lct_monomial(a)
-    assert contains_point(P, [1 / lct, 1 / lct])
+    assert contains_point(a, [1 / lct, 1 / lct])
     tighter = lct + Fraction(1, 1000)
-    assert not contains_point(P, [1 / tighter, 1 / tighter])
+    assert not contains_point(a, [1 / tighter, 1 / tighter])
 
 
 def test_diagonal_entry_min_value():
-    P = NewtonPolyhedron(2, [(2, 0), (0, 3)])
-    assert diagonal_entry_min(P) == Fraction(6, 5)
+    a = MonomialIdeal(2, [(2, 0), (0, 3)])
+    assert diagonal_entry_min(a) == Fraction(6, 5)
+
+
+@st.composite
+def _ideal_and_ray(draw):
+    """A proper monomial ideal with 1-5 minimal generators of exponents <= 6,
+    and a direction v in [1..6]^n.  In two variables the generators are drawn
+    as a staircase, so that hulls with several vertices come up."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 5))
+    if n == 2:
+        xs, ys = (draw(st.lists(st.integers(0, 6), min_size=k, max_size=k, unique=True))
+                  for _ in range(2))
+        gens = list(zip(sorted(xs), sorted(ys, reverse=True)))
+    else:
+        gens = draw(st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=k, max_size=k))
+    assume(all(any(g) for g in gens))
+    v = draw(st.tuples(*[st.integers(1, 6)] * n))
+    return MonomialIdeal(n, gens), v
+
+
+@given(_ideal_and_ray())
+def test_ray_entry_matches_the_oracles(ideal_v):
+    a, v = ideal_v
+    t0 = ray_entry(a, v)
+    # t0*v is on the boundary of P(a): inside it, and the ray enters no earlier
+    assert contains_point(a, [t0 * x for x in v])
+    assert not contains_point(a, [t0 * Fraction(99, 100) * x for x in v])
+    # the 2-D hull step drops no vertex the LP needs
+    if a.n == 2:
+        assert t0 == ray_entry_dual(a, v)
+
+
+# each example runs one LP per undecided point of a box, twice, and a
+# non-m-primary ideal in three variables can leave thousands undecided;
+# 15 examples keep the test to seconds (20 take over 30 s)
+@settings(max_examples=15)
+@given(_ideal_and_ray(), st.fractions(Fraction(1, 7), 2, max_denominator=7))
+def test_tau_monomial_matches_the_slack_oracle(ideal_v, lam):
+    a, _ = ideal_v
+    # u+1 interior to lam*P(a) iff lam*ray_entry(a, u+1) < 1
+    assert tau_monomial(a, lam) == tau_by_slack(a, lam)
 
 
 def test_monomial_valuation():

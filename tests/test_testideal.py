@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import nonzero_polynomials
+from oracles import frobenius_bracket_power
 from thresholds.grobner import PolyIdeal
 from thresholds.newton import MonomialIdeal
 from thresholds.rings import Polynomial, Ring, parse_polynomial
@@ -12,7 +13,6 @@ from thresholds.testideal import (
     check_p_scaling,
     check_skoda,
     fjump_scan,
-    frobenius_bracket_power,
     frobenius_root,
     tau,
     tau_monomial,
