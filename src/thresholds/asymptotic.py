@@ -88,6 +88,8 @@ class PolyhedralQ:
         self.n = len(self.C[0])
         if any(x < 0 for row in self.C for x in row) or any(x <= 0 for x in self.b):
             raise ValueError("need C >= 0 and b > 0")
+        if not all(any(row) for row in self.C):
+            raise ValueError("a zero row of C makes Q empty")
 
     def ideal(self, m: int) -> MonomialIdeal:
         if self.n != 2:
@@ -121,6 +123,8 @@ class PolyhedralQ:
 
     def val_limit(self, v) -> tuple:
         v = [Fraction(x) for x in v]
+        if len(v) != self.n or any(x < 0 for x in v):
+            raise ValueError("need n weights, each >= 0")
         # minimize <v, u> over Q
         A_ub = [[-x for x in row] for row in self.C]
         b_ub = [-x for x in self.b]

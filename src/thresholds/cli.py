@@ -127,9 +127,7 @@ def _cmd_lct(args):
 def _cmd_fpt(args):
     from thresholds import frobenius
 
-    gens = _parse_gens(args.poly, args.p)
-    ctx = frobenius.FrobeniusContext(args.p, e_max=args.e)
-    enc = frobenius.fpt_enclosure(gens, ctx)
+    enc = frobenius.fpt_enclosure(_parse_gens(args.poly, args.p), args.e)
     return {"fpt": _interval_dict(enc), "p": args.p}, enc.certified
 
 
@@ -242,13 +240,8 @@ def _cmd_ordinary(args):
     gens = _parse_gens(args.poly, args.p)
     if len(gens) != 1:
         raise ValueError("ordinary expects a single cubic")
-    f = gens[0]
-    ordinary = frobenius.is_ordinary_cubic(f)
-    return {
-        "p": args.p,
-        "ordinary": ordinary,
-        "cone_fpt": fmt_q(frobenius.fpt_cubic_cone(f)),
-    }, True
+    cone_fpt = frobenius.fpt_cubic_cone(gens[0])
+    return {"p": args.p, "ordinary": cone_fpt == 1, "cone_fpt": fmt_q(cone_fpt)}, True
 
 
 _COMMANDS = {
@@ -282,10 +275,11 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _apply_budget_env():
+def _apply_budget_env() -> list:
+    """Cap every budget at THRESHOLDS_BUDGET; return what to restore."""
     raw = os.environ.get("THRESHOLDS_BUDGET")
     if not raw:
-        return
+        return []
     try:
         cap = int(raw)
         if cap < 1:
@@ -294,17 +288,23 @@ def _apply_budget_env():
         raise ValueError(f"THRESHOLDS_BUDGET must be a positive integer, got {raw!r}")
     from thresholds import frobenius, grobner
 
-    frobenius.DEFAULT_BOX_BUDGET = cap
-    frobenius.DEFAULT_PRODUCT_BUDGET = cap
-    grobner.DEFAULT_PAIR_BUDGET = cap
+    saved = [(mod, name, getattr(mod, name)) for mod, name in (
+        (frobenius, "DEFAULT_BOX_BUDGET"),
+        (frobenius, "DEFAULT_PRODUCT_BUDGET"),
+        (grobner, "DEFAULT_PAIR_BUDGET"),
+    )]
+    for mod, name, _ in saved:
+        setattr(mod, name, cap)
+    return saved
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from thresholds.rings import BudgetExceededError, ParseError
 
+    saved = []
     try:
-        _apply_budget_env()
+        saved = _apply_budget_env()
         report, certified = _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -312,6 +312,10 @@ def run(argv=None) -> int:
     except (ParseError, ValueError, ZeroDivisionError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the budgets are module globals; the next in-process call starts clean
+        for mod, name, value in saved:
+            setattr(mod, name, value)
     report = {"schema": 1, "command": args.command, **report}
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))

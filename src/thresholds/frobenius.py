@@ -11,7 +11,6 @@ last degree with a product left.  Products of monomials are points of the box
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from thresholds.lct0 import ThresholdResult
@@ -25,37 +24,7 @@ from thresholds.rings import (
 
 DEFAULT_BOX_BUDGET = 10**7
 DEFAULT_PRODUCT_BUDGET = 10**6  # term pairs multiplied by product_sweep
-PE_CAP = 10**8  # nu_sequence stops before the first level p^e above this
-
-
-@dataclass(frozen=True)
-class FrobeniusContext:
-    p: int
-    e_max: int = 4
-
-    def __post_init__(self):
-        from thresholds.rings import is_prime
-
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.e_max < 1:
-            raise ValueError("e_max must be >= 1")
-
-
-@dataclass(frozen=True)
-class NuSequence:
-    """nu(1..e_max) together with the sanity bound nu(e+1) >= p*nu(e)."""
-
-    p: int
-    values: tuple
-    description: str = ""
-
-    def __post_init__(self):
-        for a, b in zip(self.values, self.values[1:]):
-            if b < self.p * a:
-                raise ValueError(
-                    f"nu sequence violates nu(e+1) >= p*nu(e): {self.values}"
-                )
+PE_CAP = 10**8  # fpt_enclosure uses no level p^e above this
 
 
 def _as_generators(a) -> list:
@@ -79,16 +48,6 @@ def _validate(gens) -> tuple:
         if (0,) * ring.nvars in g.terms:
             raise ValueError("generator has a constant term, so a is not in m")
     return ring, ring.p
-
-
-def in_frobenius_power(g: Polynomial, e: int) -> bool:
-    """Membership of g in m^[p^e] = (x_1^{p^e}, ..., x_n^{p^e}), termwise."""
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    if g.ring.fieldtag != "Fp":
-        raise ValueError("in_frobenius_power needs an F_p ring")
-    q = g.ring.p**e
-    return all(any(x >= q for x in exp) for exp in g.terms)
 
 
 def _nu_box(exps, n: int, q: int) -> int:
@@ -131,7 +90,8 @@ def nu(a, e: int) -> int:
     modulo m^[p*q] is f^j modulo m^[q] with every exponent multiplied by p,
     and p*nu(k) <= nu(k+1) <= p*nu(k) + p - 1 (Blickle-Mustata-Smith,
     F-thresholds of hypersurfaces), so level k+1 resumes from the p-th power
-    of level k's last product and takes at most p - 1 further steps.
+    of level k's last product and takes at most p - 1 further steps; a level
+    that takes more raises AssertionError.
 
     A level k with nu(k) = p^k - 1 ends the walk, since then nu(e) = p^e - 1
     for every e.  Indeed nu(j) <= p^j - 1 always (f^(p^j) lies in m^[p^j]),
@@ -153,56 +113,40 @@ def nu(a, e: int) -> int:
     terms = [tuple(g.terms.items()) for g in gens]
     # budgets resolve late so the CLI environment override is honored
     budget = DEFAULT_PRODUCT_BUDGET
-    frontier, i = {frozenset({((0,) * ring.nvars, 1)}): 0}, 0
-    if len(gens) == 1:
-        for k in range(1, e):
-            d, frontier, budget = product_sweep(terms, p, p**k, frontier, budget)
-            i += d
-            if i == p**k - 1:
-                return p**e - 1
-            (prod,) = frontier
-            lifted = frozenset((tuple(x * p for x in u), c) for u, c in prod)
-            frontier, i = {lifted: 0}, i * p
-    return i + product_sweep(terms, p, p**e, frontier, budget)[0]
+    frontier = {frozenset({((0,) * ring.nvars, 1)}): 0}
+    if len(gens) > 1:
+        return product_sweep(terms, p, p**e, frontier, budget)[0]
+    i = 0
+    for k in range(1, e + 1):
+        d, frontier, budget = product_sweep(terms, p, p**k, frontier, budget)
+        if d > p - 1:
+            raise AssertionError(f"level {k} of the nu walk took {d} > p - 1 steps")
+        i += d
+        if i == p**k - 1:
+            return p**e - 1
+        if k == e:
+            return i
+        (prod,) = frontier
+        lifted = frozenset((tuple(x * p for x in u), c) for u, c in prod)
+        frontier, i = {lifted: 0}, i * p
 
 
-def nu_sequence(a, ctx: FrobeniusContext, description: str = "") -> NuSequence:
-    values = []
-    for e in range(1, ctx.e_max + 1):
-        if ctx.p**e > PE_CAP:
-            break
-        values.append(nu(a, e))
-    return NuSequence(ctx.p, tuple(values), description)
-
-
-def _ideal_order(gens) -> int:
-    return min(g.order() for g in gens)
-
-
-def fpt_monomial(a: MonomialIdeal, p: int | None = None) -> Fraction:
-    """F-pure threshold of a monomial ideal: equals the char-0 threshold.
-
-    The value is independent of p, which is accepted only for interface
-    symmetry with the other fpt entry points.
-    """
-    return lct_monomial(a)
-
-
-def fpt_enclosure(a, ctx: FrobeniusContext) -> ThresholdResult:
+def fpt_enclosure(a, e_max: int) -> ThresholdResult:
     """Certified interval around the F-pure threshold from nu(e) data.
 
     Closed-form families short-circuit to exact values: monomial generator
     lists (threshold from the Newton polyhedron) and one-variable principal
     ideals (threshold 1/ord).  Otherwise the interval is
     [nu(e)/p^e, (nu(e)+1)/p^e] for principal ideals, with a generator-wise sum
-    as the fallback upper bound, clamped into [1/ord, n/ord].
+    as the fallback upper bound, clamped into [1/ord, n/ord].  The prime p is
+    the ring's, and e is the largest level <= e_max with p^e <= PE_CAP.
     """
+    if e_max < 1:
+        raise ValueError("e_max must be >= 1")
     gens = _as_generators(a)
     ring, p = _validate(gens)
-    if p != ctx.p:
-        raise ValueError("context prime differs from the ring prime")
     n = ring.nvars
-    ord_a = _ideal_order(gens)
+    ord_a = min(g.order() for g in gens)
 
     mono = MonomialIdeal.from_polynomials(gens)
     if mono is not None:
@@ -212,29 +156,25 @@ def fpt_enclosure(a, ctx: FrobeniusContext) -> ThresholdResult:
         if len(used) == 1:
             return ThresholdResult.exact(Fraction(1, ord_a), "closed-form")
 
-    seq = nu_sequence(a, ctx)
-    e_used = len(seq.values)
-    if e_used == 0:
+    e = 0
+    while e < e_max and p ** (e + 1) <= PE_CAP:
+        e += 1
+    if e == 0:
         raise BudgetExceededError("p^e cap leaves no usable e")
-    q = p**e_used
-    nu_last = seq.values[-1]
-    lower = Fraction(nu_last, q)
-
+    q = p**e
     if len(gens) == 1:
-        # nu(e+1) <= p*nu(e) + p - 1 holds for principal ideals; the computed
-        # sequence is checked against it before the bound is used.
-        for a_e, b_e in zip(seq.values, seq.values[1:]):
-            if b_e > p * a_e + p - 1:
-                raise AssertionError(
-                    f"principal nu regression failed: {seq.values}"
-                )
-        upper = Fraction(nu_last + 1, q)
+        nu_e = nu(gens, e)  # the walk checks nu(k+1) <= p*nu(k) + p - 1
+        upper = Fraction(nu_e + 1, q)
     else:
-        upper = sum(
-            Fraction(nu(g, e_used) + 1, q) for g in gens
-        )
+        values = [nu(gens, k) for k in range(1, e + 1)]
+        if any(b < p * a for a, b in zip(values, values[1:])):
+            raise AssertionError(
+                f"nu sequence violates nu(e+1) >= p*nu(e): {values}"
+            )
+        nu_e = values[-1]
+        upper = sum(Fraction(nu(g, e) + 1, q) for g in gens)
 
-    lower = max(lower, Fraction(1, ord_a))
+    lower = max(Fraction(nu_e, q), Fraction(1, ord_a))
     upper = min(upper, Fraction(n, ord_a))
     return ThresholdResult(lower, upper, False, "nu-limit")
 
@@ -243,22 +183,18 @@ def fpt_enclosure(a, ctx: FrobeniusContext) -> ThresholdResult:
 # Cones over plane cubics
 # ----------------------------------------------------------------------
 
-def _check_cubic(f: Polynomial):
-    if f.ring.fieldtag != "Fp":
-        raise ValueError("cubic must live over F_p")
-    if f.ring.nvars != 3:
-        raise ValueError("cubic must have exactly 3 variables")
-    if f.is_zero() or any(sum(exp) != 3 for exp in f.terms):
-        raise ValueError("polynomial is not homogeneous of degree 3")
-
-
 def is_ordinary_cubic(f: Polynomial) -> bool:
     """Ordinarity of the plane cubic: coefficient of (xyz)^{p-1} in f^{p-1}.
 
     Smoothness of the projective curve is the caller's responsibility; the
     test is meaningful only for cubics with an isolated singularity at 0.
     """
-    _check_cubic(f)
+    if f.ring.fieldtag != "Fp":
+        raise ValueError("cubic must live over F_p")
+    if f.ring.nvars != 3:
+        raise ValueError("cubic must have exactly 3 variables")
+    if f.is_zero() or any(sum(exp) != 3 for exp in f.terms):
+        raise ValueError("polynomial is not homogeneous of degree 3")
     p = f.ring.p
     c = monomial_coefficient(f, p - 1, (p - 1, p - 1, p - 1))
     return c != 0
@@ -266,8 +202,6 @@ def is_ordinary_cubic(f: Polynomial) -> bool:
 
 def fpt_cubic_cone(f: Polynomial) -> Fraction:
     """Threshold of the cone: 1 when the curve is ordinary, else 1 - 1/p."""
-    _check_cubic(f)
-    p = f.ring.p
     if is_ordinary_cubic(f):
         return Fraction(1)
-    return Fraction(p - 1, p)
+    return Fraction(f.ring.p - 1, f.ring.p)

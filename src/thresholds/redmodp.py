@@ -9,11 +9,11 @@ diagonal polynomials, where equality has a clean congruence description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 
-from thresholds.frobenius import FrobeniusContext, fpt_enclosure
+from thresholds.frobenius import fpt_enclosure
 from thresholds.lct0 import Diagonal, ThresholdResult, lct_closed_form
 from thresholds.rings import Polynomial, Ring, is_prime
 
@@ -50,30 +50,23 @@ class ComparisonRow:
     fpt: ThresholdResult
     lct0: Fraction
     relation: str  # EQUAL | FPT_LESS | INCONCLUSIVE
-    residue: int | None = None  # p mod N when a congruence class is relevant
+    residue: int | None = None  # p mod a_1*...*a_n in diagonal comparisons
 
 
 def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
-                     e_max: int = 3, equal_modulus: int | None = None) -> ComparisonRow:
+                     e_max: int) -> ComparisonRow:
     """One comparison row: certified fpt data for f mod p against lct0.
 
-    ``equal_modulus`` asserts that the two thresholds agree exactly when
-    p = 1 mod that modulus (valid for diagonal polynomials with the product
-    of the exponents); other primes get a nu-based enclosure, intersected
-    with the a-priori bound fpt <= lct0.
+    The row holds a nu-based enclosure of fpt(f mod p) for some level
+    e <= e_max, intersected with the a-priori bound fpt <= lct0.
     """
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
     lct0 = Fraction(lct0)
-    residue = p % equal_modulus if equal_modulus else None
-    if equal_modulus and residue == 1:
-        return ComparisonRow(p, ThresholdResult.exact(lct0), lct0, EQUAL, residue)
     fp = reduce_mod_p(f, p)
     # grow e only until the relation is decided; the interval narrows as 1/p^e
-    enc = None
     for e in range(1, e_max + 1):
-        ctx = FrobeniusContext(p, e_max=e)
-        enc = fpt_enclosure(fp, ctx)
+        enc = fpt_enclosure(fp, e)
         if enc.hi < lct0 or (enc.is_exact and enc.certified):
             break
     if enc.lo > lct0:
@@ -87,12 +80,15 @@ def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
         relation = FPT_LESS
     else:
         relation = INCONCLUSIVE
-    return ComparisonRow(p, enc, lct0, relation, residue)
+    return ComparisonRow(p, enc, lct0, relation)
 
 
 def compare_diagonal(exponents, primes, *, e_max: int = 3) -> list:
     """Comparison rows for x_1^{a_1} + ... + x_n^{a_n} across the given primes.
 
+    The two thresholds agree when p = 1 mod a_1*...*a_n (every a_i then
+    divides p - 1), so those rows are EQUAL without a computation; every
+    row carries p mod a_1*...*a_n as its residue.
     Primes dividing some exponent are skipped: the reduction is then a p-th
     power times a unit pattern and the diagonal closed forms do not apply.
     """
@@ -105,11 +101,15 @@ def compare_diagonal(exponents, primes, *, e_max: int = 3) -> list:
         tuple(a if j == i else 0 for j in range(n)): 1
         for i, a in enumerate(fam.exponents)
     })
+    if e_max < 1:
+        raise ValueError("e_max must be >= 1")
     rows = []
     for p in primes:
         if any(a % p == 0 for a in fam.exponents):
             continue
-        rows.append(
-            compare_at_prime(f, p, lct0, e_max=e_max, equal_modulus=modulus)
-        )
+        if p % modulus == 1:
+            row = ComparisonRow(p, ThresholdResult.exact(lct0), lct0, EQUAL)
+        else:
+            row = compare_at_prime(f, p, lct0, e_max=e_max)
+        rows.append(replace(row, residue=p % modulus))
     return rows

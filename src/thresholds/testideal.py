@@ -30,7 +30,7 @@ from thresholds.newton import MonomialIdeal, ray_entry
 from thresholds.rings import Polynomial, frobenius_decompose
 
 DEFAULT_E_MAX = 5
-DEFAULT_ITER_MAX = 40
+ITER_MAX = 40  # fixed-point steps of the principal iteration
 
 
 def _gens_of(a) -> list:
@@ -104,11 +104,15 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     n = ideal.n
     if lam == 0:
         return MonomialIdeal(n, [(0,) * n])
-    bound = int(ceil(lam * max(max(g) for g in ideal.gens))) + 1
     from itertools import product
 
+    # u+1 is interior to lam*P(a) iff u+1 > w for some w in lam*conv(gens),
+    # where w_j <= lam*max_g g_j, so a minimal generator has
+    # u_j <= floor(lam*max_g g_j): 0 where no generator involves x_j
+    axes = [range(floor(lam * max(g[j] for g in ideal.gens)) + 1)
+            for j in range(n)]
     gens = []
-    for u in product(range(bound + 1), repeat=n):
+    for u in product(*axes):
         if any(all(x >= y for x, y in zip(u, g)) for g in gens):
             continue  # already inside a found generator's shadow
         if lam * ray_entry(ideal, [x + 1 for x in u]) < 1:
@@ -134,7 +138,7 @@ def _multiplicative_order(p: int, d: int) -> int:
     return b
 
 
-def _tau_principal(f: Polynomial, lam: Fraction, iter_max: int) -> TauResult:
+def _tau_principal(f: Polynomial, lam: Fraction) -> TauResult:
     ring = f.ring
     p = ring.p
     if lam == 0:
@@ -142,7 +146,7 @@ def _tau_principal(f: Polynomial, lam: Fraction, iter_max: int) -> TauResult:
     if lam >= 1:
         # Skoda, k = floor(lam) times at once: tau(f^{k+s}) = f^k * tau(f^s)
         k = floor(lam)
-        inner = _tau_principal(f, lam - k, iter_max)
+        inner = _tau_principal(f, lam - k)
         fk = f.pow(k)
         return TauResult(
             PolyIdeal([fk * g for g in inner.ideal.gens]),
@@ -155,7 +159,7 @@ def _tau_principal(f: Polynomial, lam: Fraction, iter_max: int) -> TauResult:
         m += 1
     if m:
         # tau(f^{s/p^m}) = tau(f^s)^[1/p^m]
-        inner = _tau_principal(f, lam * p**m, iter_max)
+        inner = _tau_principal(f, lam * p**m)
         return TauResult(
             frobenius_root(inner.ideal, m),
             lam, inner.stabilized, inner.e_used,
@@ -169,18 +173,17 @@ def _tau_principal(f: Polynomial, lam: Fraction, iter_max: int) -> TauResult:
     # exact starting value tau(f^{ceil(lam q)/q}) = (f^{ceil(lam q)})^[1/q]
     Y = frobenius_root([f.pow(ceil(lam * q))], b)
     fc = f.pow(c)
-    for it in range(1, iter_max + 1):
+    for it in range(1, ITER_MAX + 1):
         Z = frobenius_root([fc * g for g in Y.gens], b)
         if Z.equal(Y):
             return TauResult(Y, lam, True, it)
         if not Z.contains(Y):
             raise AssertionError("principal tau iteration failed to ascend")
         Y = Z
-    return TauResult(Y, lam, False, iter_max)
+    return TauResult(Y, lam, False, ITER_MAX)
 
 
-def tau(a, lam, *, e_max: int = DEFAULT_E_MAX,
-        iter_max: int = DEFAULT_ITER_MAX) -> TauResult:
+def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:
     """Test ideal tau(a^lam) with a certificate whenever one is available."""
     lam = Fraction(lam)
     if lam < 0:
@@ -198,7 +201,7 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX,
             PolyIdeal([Polynomial.monomial(ring, u) for u in result]), lam, True, 0
         )
     if len(gens) == 1:
-        return _tau_principal(gens[0], lam, iter_max)
+        return _tau_principal(gens[0], lam)
     chain = ascending_chain(gens, lam, e_max)
     one = Polynomial.one(ring)
     for e, cur in enumerate(chain, start=1):
@@ -252,8 +255,7 @@ class JumpingReport:
     resolution: Fraction
 
 
-def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX,
-               iter_max: int = DEFAULT_ITER_MAX) -> JumpingReport:
+def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX) -> JumpingReport:
     gens = _gens_of(a)
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -262,10 +264,10 @@ def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX,
         raise ValueError("span must be > 0")
     jumps = []
     certified = True
-    prev_ideal = tau(gens, Fraction(0), e_max=e_max, iter_max=iter_max).ideal
+    prev_ideal = tau(gens, Fraction(0), e_max=e_max).ideal
     k = 1
     while Fraction(k, grid) <= span:
-        res = tau(gens, Fraction(k, grid), e_max=e_max, iter_max=iter_max)
+        res = tau(gens, Fraction(k, grid), e_max=e_max)
         certified = certified and res.stabilized
         if not res.ideal.equal(prev_ideal):
             if not prev_ideal.contains(res.ideal):

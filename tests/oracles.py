@@ -83,3 +83,13 @@ def frobenius_bracket_power(b: PolyIdeal, e: int) -> PolyIdeal:
     """b^[p^e]: the ideal generated by the p^e-th powers of the generators."""
     q = b.ring.p**e
     return PolyIdeal([g.pow(q) for g in b.gens])
+
+
+def in_frobenius_power(g: Polynomial, e: int) -> bool:
+    """Membership of g in m^[p^e] = (x_1^{p^e}, ..., x_n^{p^e}), termwise."""
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    if g.ring.fieldtag != "Fp":
+        raise ValueError("in_frobenius_power needs an F_p ring")
+    q = g.ring.p**e
+    return all(any(x >= q for x in exp) for exp in g.terms)

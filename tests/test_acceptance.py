@@ -19,7 +19,6 @@ from thresholds.asymptotic import (
     val_asym,
 )
 from thresholds.frobenius import (
-    FrobeniusContext,
     fpt_cubic_cone,
     fpt_enclosure,
     is_ordinary_cubic,
@@ -91,7 +90,7 @@ def test_criterion_2_cusp_nu_closed_form():
 def test_criterion_3_cusp_enclosures():
     for p in (5, 7, 11, 13, 31, 37):
         f = parse_polynomial("x^2 + y^3", Ring.prime_field(2, p))
-        enc = fpt_enclosure(f, FrobeniusContext(p, e_max=3))
+        enc = fpt_enclosure(f, 3)
         target = Fraction(5, 6) if p % 3 == 1 else Fraction(5, 6) - Fraction(1, 6 * p)
         assert enc.contains(target)
         assert enc.width() <= Fraction(1, p**3)

@@ -87,6 +87,12 @@ def test_polyhedral_validation():
         PolyhedralQ([(1, 1)], [0])
     with pytest.raises(ValueError):
         PolyhedralQ([], [])
+    with pytest.raises(ValueError, match="zero row"):
+        PolyhedralQ([(1, 2), (0, 0)], [1, 1])  # Q empty: no ideal, no limit
+    seq = PolyhedralQ([(1, 2), (2, 1)], [1, 1])
+    for v in ((-1, 1), (1, 1, 1)):
+        with pytest.raises(ValueError):
+            seq.val_limit(v)  # unbounded below, or the wrong dimension
 
 
 def test_hyperbola_ideal_matches_bruteforce():

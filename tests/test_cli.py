@@ -17,21 +17,6 @@ from thresholds.rings import Ring, parse_polynomial, render_polynomial
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
 
-@pytest.fixture(autouse=True)
-def _isolate_budgets(monkeypatch):
-    """THRESHOLDS_BUDGET handling mutates module defaults; restore them."""
-    monkeypatch.delenv("THRESHOLDS_BUDGET", raising=False)
-    saved = (
-        frobenius.DEFAULT_BOX_BUDGET,
-        frobenius.DEFAULT_PRODUCT_BUDGET,
-        grobner.DEFAULT_PAIR_BUDGET,
-    )
-    yield
-    frobenius.DEFAULT_BOX_BUDGET = saved[0]
-    frobenius.DEFAULT_PRODUCT_BUDGET = saved[1]
-    grobner.DEFAULT_PAIR_BUDGET = saved[2]
-
-
 def _json(capsys, argv):
     code = run(argv + ["--format", "json"])
     out = capsys.readouterr().out
@@ -112,9 +97,14 @@ def test_compare_command(capsys):
         assert (row["relation"] == "equal") == (row["p"] % 6 == 1)
 
 
-def test_ordinary_command(capsys):
+def test_ordinary_command(capsys, monkeypatch):
+    calls = []
+    coefficient = frobenius.monomial_coefficient
+    monkeypatch.setattr(frobenius, "monomial_coefficient",
+                        lambda *args: calls.append(args) or coefficient(*args))
     rep = _json(capsys, ["ordinary", "--poly", "x^3 + y^3 + z^3", "--p", "7"])
     assert rep["ordinary"] is True and rep["cone_fpt"] == "1/1"
+    assert len(calls) == 1  # one coefficient of f^(p-1) per run
     rep = _json(capsys, ["ordinary", "--poly", "x^3 + y^3 + z^3", "--p", "5"])
     assert rep["ordinary"] is False and rep["cone_fpt"] == "4/5"
 
@@ -166,6 +156,18 @@ def test_budget_env_exit_3(capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
     monkeypatch.setenv("THRESHOLDS_BUDGET", "zero")
     assert run(["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "1"]) == 2
+
+
+def test_budget_env_is_restored_after_each_run(capsys, monkeypatch):
+    argv = ["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "2"]
+    budgets = (frobenius.DEFAULT_BOX_BUDGET, frobenius.DEFAULT_PRODUCT_BUDGET,
+               grobner.DEFAULT_PAIR_BUDGET)
+    monkeypatch.setenv("THRESHOLDS_BUDGET", "1")
+    assert run(argv) == 3
+    monkeypatch.delenv("THRESHOLDS_BUDGET")
+    assert run(argv) == 0
+    assert (frobenius.DEFAULT_BOX_BUDGET, frobenius.DEFAULT_PRODUCT_BUDGET,
+            grobner.DEFAULT_PAIR_BUDGET) == budgets
 
 
 def test_budget_env_caps_the_chain_powers(capsys, monkeypatch):

@@ -4,20 +4,18 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import nonzero_polynomials
+from oracles import in_frobenius_power
+from thresholds import frobenius
 from thresholds.frobenius import (
-    FrobeniusContext,
-    NuSequence,
     fpt_cubic_cone,
     fpt_enclosure,
-    fpt_monomial,
-    in_frobenius_power,
     is_ordinary_cubic,
     nu,
-    nu_sequence,
 )
 from thresholds.grobner import ideal_power
 from thresholds.newton import MonomialIdeal, lct_monomial
 from thresholds.rings import (
+    BudgetExceededError,
     Polynomial,
     Ring,
     parse_polynomial,
@@ -200,33 +198,60 @@ def test_nu_subadditive_in_ideal_sum():
     assert nu(a + b, 1) <= nu(a, 1) + nu(b, 1) + 1
 
 
-def test_nu_sequence_regression_guard():
-    seq = nu_sequence([parse_polynomial("x^2+y^3", F5)], FrobeniusContext(5, e_max=3))
-    assert seq.values == (3, 19, 99)
-    with pytest.raises(ValueError):
-        NuSequence(5, (3, 14))  # violates nu(e+1) >= p*nu(e)
+def test_nu_sequence_regression_guard(monkeypatch):
+    f = parse_polynomial("x^2+y^3", F5)
+    assert [nu(f, e) for e in (1, 2, 3)] == [3, 19, 99]
+
+    def sweep_p_steps(gens, p, q, frontier, budget, steps=None):
+        return p, frontier, budget
+
+    # a level that takes p steps breaks nu(e+1) <= p*nu(e) + p - 1
+    monkeypatch.setattr(frobenius, "product_sweep", sweep_p_steps)
+    with pytest.raises(AssertionError):
+        nu(f, 1)
+    # nu(2) = 14 < 5*nu(1) breaks nu(e+1) >= p*nu(e) for an ideal
+    monkeypatch.setattr(frobenius, "nu", lambda a, e: {1: 3, 2: 14}[e])
+    with pytest.raises(AssertionError):
+        fpt_enclosure([f, parse_polynomial("x*y", F5)], 2)
+
+
+def test_fpt_enclosure_levels_and_cap(monkeypatch):
+    f = parse_polynomial("x^2+y^3", F5)
+    with pytest.raises(ValueError, match="e_max must be >= 1"):
+        fpt_enclosure(f, 0)
+    # the level used is the largest e <= e_max with p^e <= PE_CAP
+    monkeypatch.setattr(frobenius, "PE_CAP", 125)
+    assert fpt_enclosure(f, 10) == fpt_enclosure(f, 3) != fpt_enclosure(f, 2)
+    monkeypatch.setattr(frobenius, "PE_CAP", 4)
+    with pytest.raises(BudgetExceededError, match="p\\^e cap"):
+        fpt_enclosure(f, 3)
 
 
 def test_fpt_monomial_is_lct():
-    a = MonomialIdeal.parse("x^2, y^3")
-    assert fpt_monomial(a) == lct_monomial(a) == Fraction(5, 6)
+    for text in ("x^2, y^3", "x^3, x*y, y^4", "x^2*y, y^5, x^7"):
+        a = MonomialIdeal.parse(text)
+        for p in (2, 3, 5, 7):
+            gens = [_mono(Ring.prime_field(2, p), g) for g in a.gens]
+            res = fpt_enclosure(gens, 1)
+            assert res.is_exact and res.value == lct_monomial(a)
+    assert lct_monomial(MonomialIdeal.parse("x^2, y^3")) == Fraction(5, 6)
 
 
 def test_fpt_enclosure_certified_monomial():
     gens = [_mono(F5, (2, 0)), _mono(F5, (0, 3))]
-    res = fpt_enclosure(gens, FrobeniusContext(5))
+    res = fpt_enclosure(gens, 4)
     assert res.is_exact and res.value == Fraction(5, 6)
 
 
 def test_fpt_enclosure_one_variable_principal():
     f = parse_polynomial("x^3 + x^5", F5)
-    res = fpt_enclosure([f], FrobeniusContext(5))
+    res = fpt_enclosure([f], 4)
     assert res.is_exact and res.value == Fraction(1, 3)
 
 
 def test_fpt_enclosure_interval_bounds():
     f = parse_polynomial("x^2+y^3", F7)
-    res = fpt_enclosure([f], FrobeniusContext(7, e_max=2))
+    res = fpt_enclosure([f], 2)
     assert res.contains(Fraction(5, 6))
     assert Fraction(1, 2) <= res.lo <= res.hi <= Fraction(2, 2)
     assert not res.certified
@@ -234,7 +259,7 @@ def test_fpt_enclosure_interval_bounds():
 
 def test_fpt_enclosure_multigenerator():
     gens = [parse_polynomial("x^2+y^3", F5), parse_polynomial("x*y", F5)]
-    res = fpt_enclosure(gens, FrobeniusContext(5, e_max=2))
+    res = fpt_enclosure(gens, 2)
     ord_a = 2
     assert Fraction(1, ord_a) <= res.lo <= res.hi <= Fraction(2, ord_a)
 

@@ -50,26 +50,25 @@ def test_reduce_mod_p_is_ring_map_on_samples(num, den):
 
 
 def test_cusp_comparison_rows():
-    f = parse_polynomial("x^2 + y^3", Q2)
     lct0 = Fraction(5, 6)
-    for p in (5, 7, 11, 13, 31, 37):
-        row = compare_at_prime(f, p, lct0, e_max=4, equal_modulus=6)
+    rows = compare_diagonal((2, 3), (5, 7, 11, 13, 31, 37), e_max=4)
+    assert [row.p for row in rows] == [5, 7, 11, 13, 31, 37]
+    for row in rows:
         assert row.fpt.hi <= lct0
-        if p % 3 == 1:
+        assert row.residue == row.p % 6
+        if row.p % 3 == 1:
             assert row.relation == EQUAL
             assert row.fpt.value == lct0
         else:
             assert row.relation == FPT_LESS
             # the gap is exactly 1/(6p) for these primes
-            assert row.fpt.contains(lct0 - Fraction(1, 6 * p))
+            assert row.fpt.contains(lct0 - Fraction(1, 6 * row.p))
 
 
 def test_cusp_gap_is_zero_or_one_sixth_p():
-    f = parse_polynomial("x^2 + y^3", Q2)
-    for p in (5, 7, 11, 13):
-        row = compare_at_prime(f, p, Fraction(5, 6), e_max=4, equal_modulus=6)
+    for row in compare_diagonal((2, 3), (5, 7, 11, 13), e_max=4):
         gap = Fraction(5, 6) - (row.fpt.value if row.fpt.is_exact else row.fpt.lo)
-        assert gap == 0 or abs(gap - Fraction(1, 6 * p)) <= row.fpt.width()
+        assert gap == 0 or abs(gap - Fraction(1, 6 * row.p)) <= row.fpt.width()
 
 
 def test_compare_diagonal_congruence():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from helpers import nonzero_polynomials
 from oracles import frobenius_bracket_power
+from thresholds import testideal
 from thresholds.grobner import PolyIdeal
 from thresholds.newton import MonomialIdeal
 from thresholds.rings import Polynomial, Ring, parse_polynomial
@@ -93,6 +94,18 @@ def test_tau_monomial_formula():
     assert tau_monomial(a, Fraction(5, 6)).gens == ((0, 1), (1, 0))
     assert tau_monomial(a, 1).gens == ((0, 1), (1, 0))
     assert tau_monomial(a, Fraction(7, 6)).gens == ((0, 2), (1, 0))
+
+
+def test_tau_monomial_box_is_the_generator_box(monkeypatch):
+    calls = []
+    ray_entry = testideal.ray_entry
+    monkeypatch.setattr(testideal, "ray_entry",
+                        lambda a, v: calls.append(v) or ray_entry(a, v))
+    a = MonomialIdeal(3, [(6, 5, 0)])
+    assert tau_monomial(a, 2).gens == ((12, 10, 0),)
+    # the box is {0..12} x {0..10} x {0}: no generator involves z
+    assert all(v[2] == 1 for v in calls)
+    assert len(calls) == 12 * 11 + 11
 
 
 def test_tau_monomial_matches_chain_tail():
