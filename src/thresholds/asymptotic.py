@@ -99,19 +99,20 @@ class PolyhedralQ:
         while True:
             lo = Fraction(0)
             feasible = True
+            moving = False  # some row with c1 > 0 still binds
             for (c1, c2), bb in zip(self.C, self.b):
                 need = m * bb - c1 * u1
                 if need <= 0:
                     continue
+                moving = moving or c1 > 0
                 if c2 == 0:
                     feasible = False
                     break
                 lo = max(lo, need / c2)
             if feasible:
-                u2 = -(-lo.numerator // lo.denominator)  # ceil
-                gens.append((u1, u2))
-                if u2 == 0:
-                    break
+                gens.append((u1, -(-lo.numerator // lo.denominator)))  # ceil
+            if not moving:
+                break  # from here on the same rows bind, so u2 stays put
             u1 += 1
             if u1 > 10**7:
                 raise RuntimeError("runaway enumeration; is Q proper?")
@@ -157,7 +158,7 @@ class HyperbolaQ:
                 break
             # smallest a with ceil(m^2/(a+m)) <= b-1
             a = -(-mm // (b - 1)) - m
-        return MonomialIdeal(2, gens, minimal=True)
+        return MonomialIdeal(2, gens)
 
     def arn_limit(self) -> tuple:
         return GOLDEN_LO, GOLDEN_HI

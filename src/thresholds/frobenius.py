@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from thresholds.grobner import PolyIdeal
 from thresholds.lct0 import ThresholdResult
-from thresholds.newton import MonomialIdeal, lct_monomial
+from thresholds.newton import lct_monomial
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
@@ -27,27 +28,12 @@ DEFAULT_PRODUCT_BUDGET = 10**6  # term pairs multiplied by product_sweep
 PE_CAP = 10**8  # fpt_enclosure uses no level p^e above this
 
 
-def _as_generators(a) -> list:
-    if isinstance(a, Polynomial):
-        return [a]
-    gens = list(a)
-    if not gens:
-        raise ValueError("empty generator list")
-    return gens
-
-
-def _validate(gens) -> tuple:
-    ring = gens[0].ring
-    if ring.fieldtag != "Fp":
-        raise ValueError("characteristic-p computations need an F_p ring")
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("generators live in different rings")
-        if g.is_zero():
-            raise ValueError("zero generator")
-        if (0,) * ring.nvars in g.terms:
-            raise ValueError("generator has a constant term, so a is not in m")
-    return ring, ring.p
+def _in_m(a) -> PolyIdeal:
+    """PolyIdeal(a), checked to lie in the maximal ideal m at the origin."""
+    a = PolyIdeal(a)
+    if any((0,) * a.ring.nvars in g.terms for g in a.gens):
+        raise ValueError("generator has a constant term, so a is not in m")
+    return a
 
 
 def _nu_box(exps, n: int, q: int) -> int:
@@ -105,16 +91,15 @@ def nu(a, e: int) -> int:
     """
     if e < 1:
         raise ValueError("e must be >= 1")
-    gens = _as_generators(a)
-    ring, p = _validate(gens)
-    mono = MonomialIdeal.from_polynomials(gens)
-    if mono is not None:
-        return _nu_box(mono.gens, ring.nvars, p**e)
-    terms = [tuple(g.terms.items()) for g in gens]
+    a = _in_m(a)
+    ring, p = a.ring, a.ring.p
+    if a.monomial is not None:
+        return _nu_box(a.monomial.gens, ring.nvars, p**e)
+    terms = [tuple(g.terms.items()) for g in a.gens]
     # budgets resolve late so the CLI environment override is honored
     budget = DEFAULT_PRODUCT_BUDGET
     frontier = {frozenset({((0,) * ring.nvars, 1)}): 0}
-    if len(gens) > 1:
+    if len(a.gens) > 1:
         return product_sweep(terms, p, p**e, frontier, budget)[0]
     i = 0
     for k in range(1, e + 1):
@@ -143,14 +128,12 @@ def fpt_enclosure(a, e_max: int) -> ThresholdResult:
     """
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    gens = _as_generators(a)
-    ring, p = _validate(gens)
-    n = ring.nvars
+    a = _in_m(a)
+    gens, p, n = a.gens, a.ring.p, a.ring.nvars
     ord_a = min(g.order() for g in gens)
 
-    mono = MonomialIdeal.from_polynomials(gens)
-    if mono is not None:
-        return ThresholdResult.exact(lct_monomial(mono), "LP")
+    if a.monomial is not None:
+        return ThresholdResult.exact(lct_monomial(a.monomial), "LP")
     if len(gens) == 1:
         used = [i for i in range(n) if any(exp[i] for exp in gens[0].terms)]
         if len(used) == 1:
@@ -163,10 +146,10 @@ def fpt_enclosure(a, e_max: int) -> ThresholdResult:
         raise BudgetExceededError("p^e cap leaves no usable e")
     q = p**e
     if len(gens) == 1:
-        nu_e = nu(gens, e)  # the walk checks nu(k+1) <= p*nu(k) + p - 1
+        nu_e = nu(a, e)  # the walk checks nu(k+1) <= p*nu(k) + p - 1
         upper = Fraction(nu_e + 1, q)
     else:
-        values = [nu(gens, k) for k in range(1, e + 1)]
+        values = [nu(a, k) for k in range(1, e + 1)]
         if any(b < p * a for a, b in zip(values, values[1:])):
             raise AssertionError(
                 f"nu sequence violates nu(e+1) >= p*nu(e): {values}"

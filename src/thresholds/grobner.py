@@ -6,17 +6,18 @@ comparison.  Ideals generated by monomials skip all of this: a ``PolyIdeal``
 of single-term generators stores its minimal monomial generators
 (:class:`thresholds.newton.MonomialIdeal`), which are its reduced basis, so
 containment is plain divisibility and equality compares exponent tuples.
+
+``PolyIdeal`` is the one characteristic-p ideal type: every entry point of
+``frobenius`` and ``testideal`` starts from it, so the generators are
+checked and classified (monomial or not) here and nowhere else.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from thresholds.newton import MonomialIdeal, minimal_points
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
-    Ring,
     grevlex_key,
     product_sweep,
 )
@@ -81,18 +82,22 @@ def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
     return mf * f - mg * g
 
 
-def groebner_basis(gens) -> tuple:
-    """Reduced grevlex Groebner basis, monic, sorted by leading term."""
+def _fp_generators(gens) -> list:
+    """The nonzero generators, which must share one F_p ring."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        raise ValueError("zero ideal has no generators here")
+        raise ValueError("need at least one nonzero generator")
     ring = gens[0].ring
     if ring.fieldtag != "Fp":
-        raise ValueError("groebner_basis expects an F_p ring")
+        raise ValueError("characteristic-p computations need an F_p ring")
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")
+    return gens
 
-    basis = list(gens)
+
+def groebner_basis(gens) -> tuple:
+    """Reduced grevlex Groebner basis, monic, sorted by leading term."""
+    basis = _fp_generators(gens)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     processed = 0
     while pairs:
@@ -151,44 +156,41 @@ def _reduce_basis(basis) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class PolyIdeal:
     """Ideal in F_p[x] with a lazily computed reduced Groebner basis.
 
-    An ideal given by single-term generators keeps its minimal monic
-    monomials, in grevlex order, as both ``gens`` and its reduced basis.
+    Built from a ``Polynomial``, an iterable of them or another
+    ``PolyIdeal``.  Zero generators are dropped; no generator left, a ring
+    that is not F_p or generators from different rings raise ``ValueError``.
+    ``monomial`` is the :class:`MonomialIdeal` of the generators when each is
+    a single term (over a field a term generates the same ideal as its
+    monomial), else None; such an ideal keeps its minimal monic monomials,
+    in grevlex order, as both ``gens`` and its reduced basis.
     """
 
-    ring: Ring
-    gens: tuple
-
-    def __init__(self, gens):
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            raise ValueError("need at least one nonzero generator")
+    def __init__(self, a):
+        if isinstance(a, PolyIdeal):
+            self.ring, self.gens, self.monomial, self._gb = (
+                a.ring, a.gens, a.monomial, a._gb)
+            return
+        gens = _fp_generators([a] if isinstance(a, Polynomial) else a)
         ring = gens[0].ring
-        mono = MonomialIdeal.from_polynomials(gens)
-        if mono is not None:
-            gens = [
-                Polynomial.monomial(ring, e)
-                for e in sorted(mono.gens, key=grevlex_key)
-            ]
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "_mono", mono)
-        object.__setattr__(self, "_gb", None if mono is None else self.gens)
+        mono = None
+        if all(len(g.terms) == 1 for g in gens):
+            mono = MonomialIdeal(ring.nvars, [next(iter(g.terms)) for g in gens])
+            gens = [Polynomial.monomial(ring, e)
+                    for e in sorted(mono.gens, key=grevlex_key)]
+        self.ring, self.gens, self.monomial = ring, tuple(gens), mono
+        self._gb = None if mono is None else self.gens
 
     def groebner(self) -> tuple:
         if self._gb is None:
-            object.__setattr__(self, "_gb", groebner_basis(list(self.gens)))
+            self._gb = groebner_basis(self.gens)
         return self._gb
 
-    def is_monomial(self) -> bool:
-        return self._mono is not None
-
     def member(self, f: Polynomial) -> bool:
-        if self._mono is not None:
-            return all(self._mono.contains_monomial(t) for t in f.terms)
+        if self.monomial is not None:
+            return all(self.monomial.contains_monomial(t) for t in f.terms)
         if f.is_zero():
             return True
         return normal_form(f, self.groebner()).is_zero()
@@ -199,8 +201,8 @@ class PolyIdeal:
     def equal(self, other: "PolyIdeal") -> bool:
         if self.ring != other.ring:
             return False
-        if self._mono is not None and other._mono is not None:
-            return self._mono.gens == other._mono.gens
+        if self.monomial is not None and other.monomial is not None:
+            return self.monomial.gens == other.monomial.gens
         return self.groebner() == other.groebner()
 
     def product(self, other: "PolyIdeal") -> "PolyIdeal":

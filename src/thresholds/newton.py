@@ -25,11 +25,16 @@ def minimal_points(points) -> list:
 
     Lex order extends the componentwise order, so a point can only be
     dominated by a point sorted before it: one pass against the points kept
-    so far suffices.
+    so far suffices.  In two dimensions the kept second coordinates strictly
+    decrease, so the last kept point alone decides.
     """
     out = []
     for p in sorted(points):
-        if not any(all(a <= b for a, b in zip(q, p)) for q in out):
+        if len(p) == 2:
+            dominated = out and out[-1][1] <= p[1]
+        else:
+            dominated = any(all(a <= b for a, b in zip(q, p)) for q in out)
+        if not dominated:
             out.append(p)
     return out
 
@@ -41,7 +46,7 @@ class MonomialIdeal:
     n: int
     gens: tuple
 
-    def __init__(self, n: int, gens, minimal: bool = False):
+    def __init__(self, n: int, gens):
         gens = [tuple(int(x) for x in g) for g in gens]
         if not gens:
             raise ValueError("the zero ideal is not allowed")
@@ -51,10 +56,7 @@ class MonomialIdeal:
             if any(x < 0 for x in g):
                 raise ValueError(f"negative exponent in generator {g}")
         object.__setattr__(self, "n", n)
-        # minimal=True promises the caller already removed dominated
-        # generators, skipping the filter for large staircases
-        gens = tuple(sorted(set(gens)) if minimal else minimal_points(gens))
-        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "gens", tuple(minimal_points(gens)))
 
     @staticmethod
     def parse(text: str, n: int | None = None) -> "MonomialIdeal":
@@ -72,15 +74,6 @@ class MonomialIdeal:
                 raise ValueError(f"monomial generators must be monic: {piece!r}")
             gens.append(exp)
         return MonomialIdeal(ring.nvars, gens)
-
-    @staticmethod
-    def from_polynomials(polys) -> "MonomialIdeal | None":
-        """The ideal of a nonempty generator list if every generator is a
-        single term, else None.  Coefficients are dropped: over a field a
-        term generates the same ideal as its monomial."""
-        if any(len(f.terms) != 1 for f in polys):
-            return None
-        return MonomialIdeal(polys[0].ring.nvars, [next(iter(f.terms)) for f in polys])
 
     def is_proper(self) -> bool:
         return all(any(x > 0 for x in g) for g in self.gens)

@@ -27,7 +27,7 @@ class BadReductionError(ValueError):
 
 
 def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
-    """Coefficientwise reduction of a Q- or Z-polynomial to F_p."""
+    """Coefficientwise reduction of a Q-polynomial to F_p."""
     if f.ring.fieldtag == "Fp":
         raise ValueError("polynomial is already in characteristic p")
     if not is_prime(p):

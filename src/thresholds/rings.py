@@ -1,8 +1,8 @@
-"""Sparse multivariate polynomials over Q, Z and prime fields F_p.
+"""Sparse multivariate polynomials over Q and prime fields F_p.
 
 Terms are stored in a dict keyed by exponent tuples (one nonnegative integer
-per variable, arbitrary precision).  Coefficients are ``Fraction`` over Q,
-``int`` over Z, and residues in ``[0, p)`` over F_p.  The coefficient field is
+per variable, arbitrary precision).  Coefficients are ``Fraction`` over Q and
+residues in ``[0, p)`` over F_p.  The coefficient field is
 part of the ring context; mixing ring contexts raises ``RingMismatchError``
 rather than coercing.
 
@@ -76,14 +76,14 @@ class Ring:
     """Ring context: variable count, coefficient field tag, optional prime."""
 
     nvars: int
-    fieldtag: str  # 'Q' | 'Z' | 'Fp'
+    fieldtag: str  # 'Q' | 'Fp'
     p: int | None = None
     names: tuple = field(default=())
 
     def __post_init__(self):
         if self.nvars < 1:
             raise ValueError("ring needs at least one variable")
-        if self.fieldtag not in ("Q", "Z", "Fp"):
+        if self.fieldtag not in ("Q", "Fp"):
             raise ValueError(f"unknown coefficient field {self.fieldtag!r}")
         if self.fieldtag == "Fp":
             if self.p is None or not is_prime(self.p):
@@ -100,10 +100,6 @@ class Ring:
         return Ring(n, "Q", None, names)
 
     @staticmethod
-    def integers(n: int, names: tuple = ()) -> "Ring":
-        return Ring(n, "Z", None, names)
-
-    @staticmethod
     def prime_field(n: int, p: int, names: tuple = ()) -> "Ring":
         return Ring(n, "Fp", p, names)
 
@@ -111,20 +107,12 @@ class Ring:
         """Normalize a raw value into this ring's coefficient domain."""
         if self.fieldtag == "Q":
             return Fraction(value)
-        if self.fieldtag == "Z":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ValueError(f"{value} is not an integer coefficient")
-                return value.numerator
-            return int(value)
         return int(value) % self.p
 
     def coeff_inv(self, value):
         if self.fieldtag == "Q":
             return Fraction(1) / Fraction(value)
-        if self.fieldtag == "Fp":
-            return pow(int(value), self.p - 2, self.p)
-        raise ValueError("no inverses over Z")
+        return pow(int(value), self.p - 2, self.p)
 
 
 def grevlex_key(exp: Exponent):
@@ -179,9 +167,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

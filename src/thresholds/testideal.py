@@ -33,16 +33,6 @@ DEFAULT_E_MAX = 5
 ITER_MAX = 40  # fixed-point steps of the principal iteration
 
 
-def _gens_of(a) -> list:
-    gens = list(a.gens) if isinstance(a, PolyIdeal) else list(a)
-    if not gens:
-        raise ValueError("empty generator list")
-    ring = gens[0].ring
-    if ring.fieldtag != "Fp":
-        raise ValueError("test ideals need an F_p ring")
-    return gens
-
-
 def frobenius_root(b, e: int) -> PolyIdeal:
     """Smallest ideal whose e-th Frobenius power contains the ideal b.
 
@@ -52,11 +42,11 @@ def frobenius_root(b, e: int) -> PolyIdeal:
     """
     if e < 0:
         raise ValueError("e must be >= 0")
-    gens = _gens_of(b)
+    b = PolyIdeal(b)
     if e == 0:
-        return PolyIdeal(gens)
+        return b
     return PolyIdeal(
-        [c for g in gens for c in frobenius_decompose(g, e).values()]
+        [c for g in b.gens for c in frobenius_decompose(g, e).values()]
     )
 
 
@@ -75,13 +65,13 @@ def ascending_chain(a, lam, e_max: int = DEFAULT_E_MAX) -> list:
     chain can plateau before its limit, so equality of two members is not
     by itself a stabilization proof.
     """
-    gens = _gens_of(a)
-    p = gens[0].ring.p
+    a = PolyIdeal(a)
+    p = a.ring.p
     lam = Fraction(lam)
     chain = []
     for e in range(1, e_max + 1):
         r = ceil(lam * p**e)
-        cur = frobenius_root(ideal_power(gens, r), e)
+        cur = frobenius_root(ideal_power(a.gens, r), e)
         if chain and not cur.contains(chain[-1]):
             raise AssertionError("Frobenius-root chain failed to ascend")
         chain.append(cur)
@@ -142,7 +132,7 @@ def _tau_principal(f: Polynomial, lam: Fraction) -> TauResult:
     ring = f.ring
     p = ring.p
     if lam == 0:
-        return TauResult(PolyIdeal([Polynomial.one(ring)]), lam, True, 0)
+        return TauResult(PolyIdeal(Polynomial.one(ring)), lam, True, 0)
     if lam >= 1:
         # Skoda, k = floor(lam) times at once: tau(f^{k+s}) = f^k * tau(f^s)
         k = floor(lam)
@@ -190,24 +180,23 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:
         raise ValueError("lambda must be >= 0")
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    gens = _gens_of(a)
-    ring = gens[0].ring
+    a = PolyIdeal(a)
+    ring = a.ring
     if lam == 0:
-        return TauResult(PolyIdeal([Polynomial.one(ring)]), lam, True, 0)
-    mono = MonomialIdeal.from_polynomials(gens)
-    if mono is not None:
-        result = tau_monomial(mono, lam).gens
+        return TauResult(PolyIdeal(Polynomial.one(ring)), lam, True, 0)
+    if a.monomial is not None:
+        result = tau_monomial(a.monomial, lam).gens
         return TauResult(
             PolyIdeal([Polynomial.monomial(ring, u) for u in result]), lam, True, 0
         )
-    if len(gens) == 1:
-        return _tau_principal(gens[0], lam)
-    chain = ascending_chain(gens, lam, e_max)
+    if len(a.gens) == 1:
+        return _tau_principal(a.gens[0], lam)
+    chain = ascending_chain(a, lam, e_max)
     one = Polynomial.one(ring)
     for e, cur in enumerate(chain, start=1):
         if cur.member(one):
             # an ascending chain that reaches (1) stays there
-            return TauResult(PolyIdeal([one]), lam, True, e)
+            return TauResult(PolyIdeal(one), lam, True, e)
     return TauResult(chain[-1], lam, False, e_max)
 
 
@@ -217,21 +206,20 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:
 
 def check_skoda(a, lam, **kw) -> bool:
     """tau(a^lam) = a * tau(a^{lam-1}) for lam >= number of generators."""
-    gens = _gens_of(a)
+    a = PolyIdeal(a)
     lam = Fraction(lam)
-    if lam < len(gens):
+    if lam < len(a.gens):
         raise ValueError("Skoda needs lambda >= number of generators")
-    left = tau(gens, lam, **kw).ideal
-    right = PolyIdeal(gens).product(tau(gens, lam - 1, **kw).ideal)
+    left = tau(a, lam, **kw).ideal
+    right = a.product(tau(a, lam - 1, **kw).ideal)
     return left.equal(right)
 
 
 def check_p_scaling(a, lam, **kw) -> bool:
     """tau(a^{lam/p}) = tau(a^lam)^[1/p]."""
-    gens = _gens_of(a)
-    p = gens[0].ring.p
-    left = tau(gens, Fraction(lam) / p, **kw).ideal
-    right = frobenius_root(tau(gens, lam, **kw).ideal, 1)
+    a = PolyIdeal(a)
+    left = tau(a, Fraction(lam) / a.ring.p, **kw).ideal
+    right = frobenius_root(tau(a, lam, **kw).ideal, 1)
     return left.equal(right)
 
 
@@ -256,7 +244,7 @@ class JumpingReport:
 
 
 def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX) -> JumpingReport:
-    gens = _gens_of(a)
+    a = PolyIdeal(a)
     if grid < 1:
         raise ValueError("grid must be >= 1")
     span = Fraction(span)
@@ -264,10 +252,10 @@ def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX) -> JumpingRe
         raise ValueError("span must be > 0")
     jumps = []
     certified = True
-    prev_ideal = tau(gens, Fraction(0), e_max=e_max).ideal
+    prev_ideal = tau(a, Fraction(0), e_max=e_max).ideal
     k = 1
     while Fraction(k, grid) <= span:
-        res = tau(gens, Fraction(k, grid), e_max=e_max)
+        res = tau(a, Fraction(k, grid), e_max=e_max)
         certified = certified and res.stabilized
         if not res.ideal.equal(prev_ideal):
             if not prev_ideal.contains(res.ideal):

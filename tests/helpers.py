@@ -1,5 +1,7 @@
 """Shared hypothesis strategies and small oracles for the test suite."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -67,3 +69,18 @@ def m_primary_exponent_sets(nvars, max_exp=5, max_extra=2):
 def brute_lct_diagonal(exps):
     """Threshold of the ideal (x_1^{a_1}, ..., x_n^{a_n}): sum of 1/a_i."""
     return sum(Fraction(1, a) for a in exps)
+
+
+@contextmanager
+def within_seconds(seconds: float):
+    """Fail with TimeoutError, rather than hang, when the body runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

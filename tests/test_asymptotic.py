@@ -15,6 +15,7 @@ from thresholds.asymptotic import (
     sqrt_enclosure,
     val_asym,
 )
+from helpers import within_seconds
 from oracles import ray_entry_dual
 from thresholds.newton import MonomialIdeal, _lower_hull, lct_monomial
 
@@ -93,6 +94,15 @@ def test_polyhedral_validation():
     for v in ((-1, 1), (1, 1, 1)):
         with pytest.raises(ValueError):
             seq.val_limit(v)  # unbounded below, or the wrong dimension
+
+
+def test_polyhedral_staircase_ends_where_u2_stops_moving():
+    # a row with c1 = 0 binds for every u1, so u2 never reaches 0
+    with within_seconds(5):
+        for m in (1, 2, 5):
+            assert PolyhedralQ([(0, 1)], [1]).ideal(m).gens == ((0, m),)
+            square = PolyhedralQ([(1, 0), (0, 1)], [1, 1])
+            assert square.ideal(m).gens == ((m, m),)
 
 
 def test_hyperbola_ideal_matches_bruteforce():

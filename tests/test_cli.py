@@ -254,6 +254,18 @@ def test_lct_loads_only_the_modules_it_runs():
         assert f"thresholds.{name}" not in loaded
 
 
+def test_nu_loads_only_the_modules_it_runs():
+    loaded = _modules_after(
+        "import contextlib, io, thresholds.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['nu', '--poly', 'x^2 + y^3', '--p', '5', '--e', '1']) == 0"
+    )
+    for name in ("frobenius", "grobner", "newton", "lct0"):
+        assert f"thresholds.{name}" in loaded
+    for name in ("testideal", "redmodp", "asymptotic"):
+        assert f"thresholds.{name}" not in loaded
+
+
 def test_package_names_resolve_on_first_access():
     loaded = _modules_after(
         "from thresholds import Ring, MonomialIdeal, ThresholdResult, lct_monomial\n"

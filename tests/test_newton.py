@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import brute_lct_diagonal, m_primary_exponent_sets, monomial_exponent_sets
 from oracles import contains_point, ray_entry_dual, tau_by_slack
-from thresholds.grobner import ideal_power
+from thresholds.grobner import PolyIdeal, ideal_power
 from thresholds.newton import (
     MonomialIdeal,
     NotMPrimaryError,
@@ -26,7 +26,7 @@ def _power(a, r):
     """a^r, formed by the one product engine over F_2."""
     ring = Ring.prime_field(a.n, 2)
     gens = [Polynomial.monomial(ring, g) for g in a.gens]
-    return MonomialIdeal.from_polynomials(ideal_power(gens, r))
+    return PolyIdeal(ideal_power(gens, r)).monomial
 
 
 def _minimal_by_pairs(points):
@@ -40,13 +40,15 @@ def _minimal_by_pairs(points):
     return sorted(out)
 
 
-@given(st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=12),
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+           st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=12)),
        st.integers(1, 4))
 def test_minimal_generators(points, den):
     a = MonomialIdeal(2, [(2, 0), (2, 1), (0, 3), (4, 4)])
     assert a.gens == ((0, 3), (2, 0))
     assert minimal_points(points) == _minimal_by_pairs(points)
-    assert MonomialIdeal(3, points).gens == tuple(_minimal_by_pairs(points))
+    n = len(points[0])
+    assert MonomialIdeal(n, points).gens == tuple(_minimal_by_pairs(points))
     # covolume minimalizes Fraction points
     scaled = [tuple(Fraction(x, den) for x in p) for p in points]
     assert minimal_points(scaled) == _minimal_by_pairs(scaled)

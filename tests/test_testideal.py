@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import nonzero_polynomials
+from helpers import nonzero_polynomials, within_seconds
 from oracles import frobenius_bracket_power
 from thresholds import testideal
+from thresholds.frobenius import fpt_enclosure, nu
 from thresholds.grobner import PolyIdeal
 from thresholds.newton import MonomialIdeal
 from thresholds.rings import Polynomial, Ring, parse_polynomial
@@ -222,3 +223,40 @@ def test_fjump_resolution_semantics():
     rep = fjump_scan([P("x^2+y^3", F5)], 6, 1)
     assert rep.jumps[0] == Fraction(5, 6)
     assert rep.resolution == Fraction(1, 6)
+
+
+def test_entry_points_take_a_polynomial_a_list_or_a_poly_ideal():
+    f = P("x^2 + y^3")
+    for a in (f, [f], PolyIdeal(f)):
+        assert nu(a, 2) == 19
+        assert fpt_enclosure(a, 2) == fpt_enclosure([f], 2)
+        assert tau(a, Fraction(4, 5)).ideal.equal(PolyIdeal([P("x"), P("y")]))
+        assert frobenius_root(a, 1).equal(PolyIdeal(P("1")))
+    gens = [P("x^2 + y^3"), P("x*y")]
+    for a in (gens, PolyIdeal(gens)):
+        assert nu(a, 1) == nu(gens, 1)
+        assert fpt_enclosure(a, 2) == fpt_enclosure(gens, 2)
+        assert tau(a, Fraction(1, 2), e_max=1).ideal.equal(
+            tau(gens, Fraction(1, 2), e_max=1).ideal)
+        assert frobenius_root(a, 1).equal(frobenius_root(gens, 1))
+
+
+def test_entry_points_reject_what_poly_ideal_rejects():
+    mixed = [P("x^2 + y^3"), P("x*y*z", Ring.prime_field(3, 5))]
+    over_q = [P("x^2 + y^3", Ring.rationals(2))]
+    zeros = [Polynomial.zero(F5), Polynomial.zero(F5)]
+    calls = (
+        lambda a: PolyIdeal(a),
+        lambda a: nu(a, 1),
+        lambda a: fpt_enclosure(a, 2),
+        lambda a: tau(a, 1),
+        lambda a: frobenius_root(a, 1),
+        lambda a: ascending_chain(a, Fraction(1, 2), 1),
+        lambda a: fjump_scan(a, 2),
+        lambda a: check_skoda(a, 2),
+        lambda a: check_p_scaling(a, Fraction(1, 2)),
+    )
+    for a in (mixed, over_q, zeros):
+        for call in calls:
+            with within_seconds(5), pytest.raises(ValueError):
+                call(a)
