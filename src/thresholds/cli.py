@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -275,36 +274,12 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _apply_budget_env() -> list:
-    """Cap every budget at THRESHOLDS_BUDGET; return what to restore."""
-    raw = os.environ.get("THRESHOLDS_BUDGET")
-    if not raw:
-        return []
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"THRESHOLDS_BUDGET must be a positive integer, got {raw!r}")
-    from thresholds import frobenius, grobner
-
-    saved = [(mod, name, getattr(mod, name)) for mod, name in (
-        (frobenius, "DEFAULT_BOX_BUDGET"),
-        (frobenius, "DEFAULT_PRODUCT_BUDGET"),
-        (grobner, "DEFAULT_PAIR_BUDGET"),
-    )]
-    for mod, name, _ in saved:
-        setattr(mod, name, cap)
-    return saved
-
-
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from thresholds.rings import BudgetExceededError, ParseError
+    from thresholds.rings import BudgetExceededError, ParseError, budget
 
-    saved = []
     try:
-        saved = _apply_budget_env()
+        budget(0)  # a malformed THRESHOLDS_BUDGET fails every subcommand
         report, certified = _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -312,10 +287,6 @@ def run(argv=None) -> int:
     except (ParseError, ValueError, ZeroDivisionError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # the budgets are module globals; the next in-process call starts clean
-        for mod, name, value in saved:
-            setattr(mod, name, value)
     report = {"schema": 1, "command": args.command, **report}
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))

@@ -19,6 +19,7 @@ from thresholds.newton import lct_monomial
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
+    budget,
     monomial_coefficient,
     product_sweep,
 )
@@ -43,10 +44,9 @@ def _nu_box(exps, n: int, q: int) -> int:
     sum_j u_j q^j.  Adding generator g moves the points with u + g < q
     (the bits of ``mask``) up by ``shift`` = sum_j g_j q^j.
     """
-    if q**n > DEFAULT_BOX_BUDGET:
-        raise BudgetExceededError(
-            f"exponent box {q}^{n} exceeds budget {DEFAULT_BOX_BUDGET}"
-        )
+    limit = budget(DEFAULT_BOX_BUDGET)
+    if q**n > limit:
+        raise BudgetExceededError(f"exponent box {q}^{n} exceeds budget {limit}")
     moves = []
     for g in exps:
         if any(x >= q for x in g):
@@ -96,14 +96,13 @@ def nu(a, e: int) -> int:
     if a.monomial is not None:
         return _nu_box(a.monomial.gens, ring.nvars, p**e)
     terms = [tuple(g.terms.items()) for g in a.gens]
-    # budgets resolve late so the CLI environment override is honored
-    budget = DEFAULT_PRODUCT_BUDGET
+    left = budget(DEFAULT_PRODUCT_BUDGET)
     frontier = {frozenset({((0,) * ring.nvars, 1)}): 0}
     if len(a.gens) > 1:
-        return product_sweep(terms, p, p**e, frontier, budget)[0]
+        return product_sweep(terms, p, p**e, frontier, left)[0]
     i = 0
     for k in range(1, e + 1):
-        d, frontier, budget = product_sweep(terms, p, p**k, frontier, budget)
+        d, frontier, left = product_sweep(terms, p, p**k, frontier, left)
         if d > p - 1:
             raise AssertionError(f"level {k} of the nu walk took {d} > p - 1 steps")
         i += d

@@ -18,6 +18,8 @@ from thresholds.newton import MonomialIdeal, minimal_points
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
+    RingMismatchError,
+    budget,
     grevlex_key,
     product_sweep,
 )
@@ -99,7 +101,7 @@ def groebner_basis(gens) -> tuple:
     """Reduced grevlex Groebner basis, monic, sorted by leading term."""
     basis = _fp_generators(gens)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    processed = 0
+    processed, limit = 0, budget(DEFAULT_PAIR_BUDGET)
     while pairs:
         # prefer the pair with the grevlex-smallest lcm (normal selection)
         pairs.sort(
@@ -110,7 +112,7 @@ def groebner_basis(gens) -> tuple:
         )
         i, j = pairs.pop()
         processed += 1
-        if processed > DEFAULT_PAIR_BUDGET:
+        if processed > limit:
             raise BudgetExceededError("S-pair budget exceeded")
         fe, ge = _leading(basis[i])[0], _leading(basis[j])[0]
         lcm = _lcm(fe, ge)
@@ -189,6 +191,9 @@ class PolyIdeal:
         return self._gb
 
     def member(self, f: Polynomial) -> bool:
+        """Whether f is in the ideal; another ring raises RingMismatchError."""
+        if f.ring != self.ring:
+            raise RingMismatchError(f"ring mismatch: {f.ring} vs {self.ring}")
         if self.monomial is not None:
             return all(self.monomial.contains_monomial(t) for t in f.terms)
         if f.is_zero():
@@ -217,7 +222,7 @@ def ideal_power(gens, r: int) -> list:
     every exponent of a degree-r product, so no term is dropped; the sweep
     is charged to ``frobenius.DEFAULT_PRODUCT_BUDGET``.
     """
-    from thresholds import frobenius  # the budget is read at call time
+    from thresholds import frobenius  # frobenius imports this module
 
     if r < 1:
         raise ValueError("power must be >= 1")
@@ -226,6 +231,6 @@ def ideal_power(gens, r: int) -> list:
     q = 1 + r * max(max(exp) for g in gens for exp in g.terms)
     one = {frozenset({((0,) * ring.nvars, 1)}): 0}
     _, products, _ = product_sweep(
-        terms, ring.p, q, one, frobenius.DEFAULT_PRODUCT_BUDGET, r
+        terms, ring.p, q, one, budget(frobenius.DEFAULT_PRODUCT_BUDGET), r
     )
     return [Polynomial(ring, dict(prod)) for prod in products]

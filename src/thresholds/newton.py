@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from thresholds.lp import OPTIMAL, solve_lp
-from thresholds.rings import Ring, parse_polynomial
+from thresholds.rings import infer_ring, parse_polynomial
 
 
 class NotMPrimaryError(ValueError):
@@ -59,11 +59,9 @@ class MonomialIdeal:
         object.__setattr__(self, "gens", tuple(minimal_points(gens)))
 
     @staticmethod
-    def parse(text: str, n: int | None = None) -> "MonomialIdeal":
+    def parse(text: str) -> "MonomialIdeal":
         """Parse a comma-separated monomial list such as ``x^2, y^3``."""
-        from thresholds.rings import infer_ring
-
-        ring = infer_ring(text.replace(",", "+")) if n is None else Ring.rationals(n)
+        ring = infer_ring(text.replace(",", "+"))
         gens = []
         for piece in text.split(","):
             poly = parse_polynomial(piece.strip(), ring)

@@ -22,6 +22,7 @@ primitives everything else is built on:
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +33,22 @@ Exponent = tuple  # tuple[int, ...], one entry per variable
 
 DEFAULT_TERM_BUDGET = 10**7
 WALK_BUDGET = 10**6  # nodes a multinomial walk may visit
+MAX_NESTING = 100  # parentheses deeper than this are a parse error
+
+
+def budget(default: int) -> int:
+    """``default``, or ``THRESHOLDS_BUDGET`` when that is set: every named
+    budget is read here where it is charged, by library and CLI alike."""
+    raw = os.environ.get("THRESHOLDS_BUDGET")
+    if not raw:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # rejected below
+    if cap < 1:
+        raise ValueError(f"THRESHOLDS_BUDGET must be a positive integer, got {raw!r}")
+    return cap
 
 
 class RingMismatchError(ValueError):
@@ -217,6 +234,7 @@ class Polynomial:
 
     def mul(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        limit = budget(DEFAULT_TERM_BUDGET)
         out = {}
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -225,10 +243,8 @@ class Polynomial:
             for eb, cb in b.items():
                 exp = tuple(i + j for i, j in zip(ea, eb))
                 out[exp] = out.get(exp, 0) + ca * cb
-            if len(out) > DEFAULT_TERM_BUDGET:
-                raise BudgetExceededError(
-                    f"product exceeds term budget {DEFAULT_TERM_BUDGET}"
-                )
+            if len(out) > limit:
+                raise BudgetExceededError(f"product exceeds term budget {limit}")
         return Polynomial(self.ring, out)
 
     def scale(self, value) -> "Polynomial":
@@ -349,7 +365,7 @@ def power_coefficients(f: Polynomial, k: int, ceiling: Exponent) -> dict:
     last = len(items) - 1
     out: dict = {}
     counts: list = []
-    visits = 0
+    visits, limit = 0, budget(WALK_BUDGET)
 
     def descend(idx: int, remaining: int, room: Exponent, coeff_prod):
         # room is the ceiling minus the exponent formed so far
@@ -368,7 +384,7 @@ def power_coefficients(f: Polynomial, k: int, ceiling: Exponent) -> dict:
             if x > 0:
                 cap = min(cap, r // x)
         visits += cap + 1
-        if visits > WALK_BUDGET:
+        if visits > limit:
             raise BudgetExceededError("multinomial walk exceeded its visit budget")
         power = 1
         for j in range(cap + 1):
@@ -486,6 +502,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.ring = ring
+        self.depth = 0  # open parentheses; each costs four stack frames
 
     def peek(self):
         return self.tokens[self.i]
@@ -558,8 +575,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}", pos) from None
             return Polynomial.variable(self.ring, idx)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected coefficient, variable or '('", pos)
 

@@ -21,6 +21,7 @@ times monomials with exponents below p^e.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -58,24 +59,28 @@ class TauResult:
     e_used: int
 
 
-def ascending_chain(a, lam, e_max: int = DEFAULT_E_MAX) -> list:
+def ascending_chain(a, lam, e_max: int = DEFAULT_E_MAX) -> Iterator[PolyIdeal]:
     """The chain I_e = (a^{ceil(lam p^e)})^[1/p^e], e = 1..e_max.
 
     Ascends to tau(a^lam); each member is a certified lower bound but the
     chain can plateau before its limit, so equality of two members is not
-    by itself a stabilization proof.
+    by itself a stabilization proof.  The ideal is checked at the call;
+    members are formed as they are asked for, each checked to contain the
+    one before.
     """
     a = PolyIdeal(a)
-    p = a.ring.p
     lam = Fraction(lam)
-    chain = []
-    for e in range(1, e_max + 1):
-        r = ceil(lam * p**e)
-        cur = frobenius_root(ideal_power(a.gens, r), e)
-        if chain and not cur.contains(chain[-1]):
-            raise AssertionError("Frobenius-root chain failed to ascend")
-        chain.append(cur)
-    return chain
+
+    def members():
+        prev = None
+        for e in range(1, e_max + 1):
+            cur = frobenius_root(ideal_power(a.gens, ceil(lam * a.ring.p**e)), e)
+            if prev is not None and not cur.contains(prev):
+                raise AssertionError("Frobenius-root chain failed to ascend")
+            yield cur
+            prev = cur
+
+    return members()
 
 
 # ----------------------------------------------------------------------
@@ -191,13 +196,12 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:
         )
     if len(a.gens) == 1:
         return _tau_principal(a.gens[0], lam)
-    chain = ascending_chain(a, lam, e_max)
     one = Polynomial.one(ring)
-    for e, cur in enumerate(chain, start=1):
+    for e, cur in enumerate(ascending_chain(a, lam, e_max), start=1):
         if cur.member(one):
             # an ascending chain that reaches (1) stays there
             return TauResult(PolyIdeal(one), lam, True, e)
-    return TauResult(chain[-1], lam, False, e_max)
+    return TauResult(cur, lam, False, e_max)
 
 
 # ----------------------------------------------------------------------

@@ -216,7 +216,7 @@ def test_criterion_7_test_ideal_identities():
         ]
         assert len(principal) + len(pairs) >= 10
         for f in principal:
-            chain = ascending_chain([f], Fraction(1, 2), 3)
+            chain = list(ascending_chain([f], Fraction(1, 2), 3))
             assert all(b.contains(a) for a, b in zip(chain, chain[1:]))
             assert check_p_scaling([f], Fraction(3, 2))
             # Skoda recursion for principal f at lambda >= 1

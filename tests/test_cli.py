@@ -224,6 +224,19 @@ def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_deep_parentheses_exit_2_without_a_traceback():
+    src = str(Path(thresholds.__file__).resolve().parent.parent)
+    poly = "(" * 400 + "x" + ")" * 400
+    done = subprocess.run(
+        [sys.executable, "-m", "thresholds.cli", "nu", "--poly", poly,
+         "--p", "5", "--e", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: parentheses nested deeper than")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
 def _modules_after(code: str) -> set:
     """Names of the modules a fresh interpreter has loaded after ``code``."""
     src = str(Path(thresholds.__file__).resolve().parent.parent)

@@ -11,7 +11,13 @@ from thresholds.grobner import (
     ideal_power,
     normal_form,
 )
-from thresholds.rings import BudgetExceededError, Polynomial, Ring, parse_polynomial
+from thresholds.rings import (
+    BudgetExceededError,
+    Polynomial,
+    Ring,
+    RingMismatchError,
+    parse_polynomial,
+)
 from thresholds.testideal import ascending_chain
 
 F5 = Ring.prime_field(2, 5)
@@ -80,6 +86,18 @@ def test_member_zero_and_one():
     assert not I.member(Polynomial.one(F5))
     J = PolyIdeal([P("x + 1"), P("x")])
     assert J.member(Polynomial.one(F5))
+
+
+def test_member_rejects_a_polynomial_from_another_ring():
+    x3 = P("x", Ring.prime_field(3, 5))
+    x7 = P("x", F7)
+    # the monomial path and the Groebner path
+    for ideal in (PolyIdeal(P("x")), PolyIdeal(P("x + y^2"))):
+        for f in (x3, x7):
+            with pytest.raises(RingMismatchError):
+                ideal.member(f)
+        with pytest.raises(RingMismatchError):
+            ideal.contains(PolyIdeal(x3))
 
 
 def test_equality_of_different_generating_sets():
@@ -185,7 +203,7 @@ def test_product_budget_caps_ideal_power(monkeypatch):
     with pytest.raises(BudgetExceededError):
         ideal_power(gens, 4)
     with pytest.raises(BudgetExceededError):
-        ascending_chain(gens, 1, 2)
+        list(ascending_chain(gens, 1, 2))
 
 
 @given(nonzero_polynomials(F7, max_terms=2, max_exp=2),

@@ -79,8 +79,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "thresholds"
 
 
 def _uses(tree, name):
-    """(enclosing def path, e.g. ``Class.method``) of each load of ``name``,
-    and whether ``name`` is imported at all."""
+    """(enclosing def path, e.g. ``Class.method``) of each load of ``name``
+    or string constant equal to it, and whether ``name`` is imported at all."""
     uses, imported = set(), False
 
     def visit(node, scope):
@@ -93,7 +93,7 @@ def _uses(tree, name):
                 imported |= any(alias.name == name for alias in child.names)
             elif (isinstance(child, ast.Name) and child.id == name) or (
                 isinstance(child, ast.Attribute) and child.attr == name
-            ):
+            ) or (isinstance(child, ast.Constant) and child.value == name):
                 uses.add(".".join(scope))
             visit(child, scope)
 
@@ -113,3 +113,47 @@ def test_solve_lp_only_in_the_ray_and_region_lps():
             importers.add(path.stem)
     assert uses == {("newton", "ray_entry"), ("asymptotic", "PolyhedralQ.val_limit")}
     assert importers == {"newton", "asymptotic"}
+
+
+BUDGETS = ("DEFAULT_TERM_BUDGET", "WALK_BUDGET", "DEFAULT_BOX_BUDGET",
+           "DEFAULT_PRODUCT_BUDGET", "DEFAULT_PAIR_BUDGET")
+
+
+def test_budgets_are_read_never_written():
+    """THRESHOLDS_BUDGET is read in one place, ``rings.budget``, and every
+    named budget is charged through it.  Nothing writes a module global: no
+    ``global`` statement, no setattr or delattr, no assignment to an
+    attribute of an imported name."""
+    readers, stray, writes = set(), [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found, _ = _uses(tree, "THRESHOLDS_BUDGET")
+        readers |= {(path.stem, f) for f in found}
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        charged = {
+            id(arg) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "budget" for arg in node.args
+        }
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in BUDGETS and isinstance(node.ctx, ast.Load) and (
+                id(node) not in charged
+            ):
+                stray.append(where)
+            if isinstance(node, ast.Global) or (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+            ) or (
+                isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in imported
+            ):
+                writes.append(where)
+    assert readers == {("rings", "budget")}
+    assert not stray, f"budgets read around rings.budget: {stray}"
+    assert not writes, f"module state written: {writes}"

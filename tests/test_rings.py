@@ -59,6 +59,12 @@ def test_parse_errors_carry_position():
         parse_polynomial("x + * y", QQ2)
     with pytest.raises(ParseError):
         parse_polynomial("w^2", QQ2)  # unknown variable
+    # nesting is capped before the parser's recursion can overflow the stack
+    d = rings.MAX_NESTING
+    assert parse_polynomial("(" * d + "x" + ")" * d, QQ2) == parse_polynomial("x", QQ2)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("(" * (d + 1) + "x" + ")" * (d + 1), QQ2)
+    assert err.value.position == d
 
 
 def test_render_deterministic_and_readable():

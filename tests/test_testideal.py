@@ -21,6 +21,7 @@ from thresholds.testideal import (
 )
 
 F2 = Ring.prime_field(2, 2)
+F3 = Ring.prime_field(2, 3)
 F5 = Ring.prime_field(2, 5)
 F7 = Ring.prime_field(2, 7)
 
@@ -74,13 +75,27 @@ def test_root_composition(g):
 
 def test_ascending_chain_ascends_and_can_plateau():
     f = P("x^2+y^3", F5)
-    chain = ascending_chain([f], Fraction(23, 30), 4)
+    chain = list(ascending_chain([f], Fraction(23, 30), 4))
     for a, b in zip(chain, chain[1:]):
         assert b.contains(a)
     # the chain genuinely plateaus before jumping, so one equality is
     # not a stabilization certificate
     assert chain[0].equal(chain[1])
     assert not chain[1].equal(chain[2])
+
+
+def test_chain_tau_stops_at_the_unit_ideal(monkeypatch):
+    # level 1 is already (1); forming a^122 for level 5 would exhaust the
+    # product budget
+    a = [P("x^2 + y^3", F3), P("x^3 + y^2", F3)]
+    powers = []
+    ideal_power = testideal.ideal_power
+    monkeypatch.setattr(testideal, "ideal_power",
+                        lambda gens, r: powers.append(r) or ideal_power(gens, r))
+    res = tau(a, Fraction(1, 2))
+    assert res.stabilized and res.e_used == 1
+    assert res.ideal.member(Polynomial.one(F3))
+    assert powers == [2]
 
 
 def test_tau_zero_lambda_is_unit():
@@ -113,7 +128,7 @@ def test_tau_monomial_matches_chain_tail():
     xs, ys = P("x^2"), P("y^3")
     for lam in [Fraction(1, 2), Fraction(5, 6), 1, Fraction(3, 2)]:
         res = tau([xs, ys], lam)
-        chain = ascending_chain([xs, ys], lam, 4)
+        chain = list(ascending_chain([xs, ys], lam, 4))
         assert all(res.ideal.contains(c) for c in chain)
         assert res.ideal.equal(chain[-1])
         assert res.stabilized
