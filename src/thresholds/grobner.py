@@ -204,8 +204,9 @@ class PolyIdeal:
         return all(self.member(g) for g in other.gens)
 
     def equal(self, other: "PolyIdeal") -> bool:
+        """Whether the ideals are equal; another ring raises RingMismatchError."""
         if self.ring != other.ring:
-            return False
+            raise RingMismatchError(f"ring mismatch: {other.ring} vs {self.ring}")
         if self.monomial is not None and other.monomial is not None:
             return self.monomial.gens == other.monomial.gens
         return self.groebner() == other.groebner()

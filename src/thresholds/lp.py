@@ -1,8 +1,12 @@
 """Exact-rational linear programming via two-phase simplex.
 
-Dense tableau simplex over ``Fraction`` with Bland's anti-cycling rule.
-Problem sizes here are tiny (a few hundred columns at most), so no effort is
-made to be fast, only to be exact and terminating.
+Dense tableau simplex over ``Fraction`` with Bland's anti-cycling rule and
+one artificial variable per row in phase 1.  Each phase builds its
+reduced-cost row once and then updates it at every pivot like one more
+tableau row, and a pivot touches only the rows with a nonzero in the pivot
+column and, in them, only the columns where the pivot row is nonzero.  The
+arithmetic is exact, so the carried row equals the one rebuilt from the
+basis and every pivot is the one the plain tableau method would take.
 """
 
 from __future__ import annotations
@@ -25,13 +29,19 @@ class LPResult:
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     """Minimize ``c.x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``.
 
-    All inputs may be ints or Fractions; the result is exact.
+    All inputs may be ints or Fractions; the result is exact.  A right-hand
+    side of the wrong length, or a row of another length than ``c``, raises
+    ``ValueError``.
     """
     A_ub = A_ub or []
     b_ub = b_ub or []
     A_eq = A_eq or []
     b_eq = b_eq or []
     n = len(c)
+    if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
+        raise ValueError("each constraint row needs exactly one right-hand side")
+    if any(len(row) != n for row in (*A_ub, *A_eq)):
+        raise ValueError(f"every constraint row needs {n} entries, one per variable")
     c = [Fraction(v) for v in c]
 
     rows = []
@@ -86,21 +96,18 @@ def _objective(tableau, basis, cost) -> Fraction:
     return sum(cost[var] * tableau[i][-1] for i, var in enumerate(basis))
 
 
-def _reduced_costs(tableau, basis, cost, ncols):
-    # y = c_B B^{-1} is implicit: tableau rows are already B^{-1} A.
-    out = []
-    for j in range(ncols):
-        rc = cost[j]
-        for i, var in enumerate(basis):
-            rc -= cost[var] * tableau[i][j]
-        out.append(rc)
-    return out
-
-
 def _simplex(tableau, basis, cost, ncols) -> str:
     m = len(tableau)
+    # reduced[j] = cost[j] - c_B (B^{-1} A)_j; tableau rows are already B^{-1} A.
+    reduced = cost[:ncols]
+    for i, var in enumerate(basis):
+        cb = cost[var]
+        if cb:
+            row = tableau[i]
+            for j in range(ncols):
+                if row[j]:
+                    reduced[j] -= cb * row[j]
     while True:
-        reduced = _reduced_costs(tableau, basis, cost, ncols)
         entering = next((j for j in range(ncols) if reduced[j] < 0), None)
         if entering is None:
             return OPTIMAL
@@ -119,17 +126,29 @@ def _simplex(tableau, basis, cost, ncols) -> str:
                     leaving = i
         if leaving is None:
             return UNBOUNDED
-        _pivot(tableau, basis, leaving, entering)
+        support = _pivot(tableau, basis, leaving, entering)
+        factor = reduced[entering]
+        row = tableau[leaving]
+        for j in support:
+            if j < ncols:
+                reduced[j] -= factor * row[j]
 
 
-def _pivot(tableau, basis, row: int, col: int):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            factor = tableau[i][col]
-            tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[row])]
+def _pivot(tableau, basis, row: int, col: int) -> list:
+    """Pivot on (row, col) in place; return the columns where the new pivot
+    row is nonzero, the only ones the elimination changes."""
+    prow = tableau[row]
+    piv = prow[col]
+    if piv != 1:
+        prow = tableau[row] = [v / piv for v in prow]
+    support = [j for j, v in enumerate(prow) if v]
+    for i, other in enumerate(tableau):
+        factor = other[col]
+        if factor and i != row:
+            for j in support:
+                other[j] -= factor * prow[j]
     basis[row] = col
+    return support
 
 
 def _drive_out_artificials(tableau, basis, n_real: int):

@@ -122,7 +122,10 @@ def ray_entry(a: MonomialIdeal, v) -> Fraction:
     One exact LP in the convex weights mu of the generators and t: minimize
     t subject to sum mu_i g_i <= t*v and sum mu_i = 1.  In two variables
     only the vertices of P(a) can carry weight, so the rest are dropped first.
+    A v of another dimension or with an entry <= 0 raises ``ValueError``.
     """
+    if len(v) != a.n or any(x <= 0 for x in v):
+        raise ValueError(f"ray direction must have {a.n} entries, each > 0")
     gens = _lower_hull(a.gens) if a.n == 2 else a.gens
     k = len(gens)
     # columns mu_1..mu_k, t;  one row sum_i mu_i g_i[j] - t v_j <= 0 per j

@@ -9,7 +9,7 @@ from itertools import product
 from math import ceil
 
 from thresholds.grobner import PolyIdeal
-from thresholds.lp import OPTIMAL, solve_lp
+from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 from thresholds.newton import MonomialIdeal
 from thresholds.rings import Polynomial, Ring
 
@@ -93,3 +93,122 @@ def in_frobenius_power(g: Polynomial, e: int) -> bool:
         raise ValueError("in_frobenius_power needs an F_p ring")
     q = g.ring.p**e
     return all(any(x >= q for x in exp) for exp in g.terms)
+
+
+def solve_lp_reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
+    """Plain dense-tableau simplex, the reference for ``thresholds.lp.solve_lp``:
+    it rebuilds the reduced costs from the basis at every iteration and
+    rewrites whole rows at every pivot.  Same rules (Bland, one artificial per
+    row), so the same pivots, status, x and objective as ``solve_lp``."""
+    A_ub = A_ub or []
+    b_ub = b_ub or []
+    A_eq = A_eq or []
+    b_eq = b_eq or []
+    n = len(c)
+    c = [Fraction(v) for v in c]
+
+    rows = []
+    rhs = []
+    n_slack = len(A_ub)
+    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
+        r = [Fraction(v) for v in row] + [Fraction(0)] * n_slack
+        r[n + i] = Fraction(1)
+        rows.append(r)
+        rhs.append(Fraction(b))
+    for row, b in zip(A_eq, b_eq):
+        r = [Fraction(v) for v in row] + [Fraction(0)] * n_slack
+        rows.append(r)
+        rhs.append(Fraction(b))
+    m = len(rows)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+
+    # One artificial variable per row; phase 1 drives them all to zero.  A
+    # slack that is +1 in a row with nonnegative rhs could serve as the basis
+    # directly, but always adding artificials keeps the bookkeeping uniform.
+    total = n + n_slack + m
+    tableau = []
+    for i in range(m):
+        row = rows[i] + [Fraction(0)] * m + [rhs[i]]
+        row[n + n_slack + i] = Fraction(1)
+        tableau.append(row)
+    basis = [n + n_slack + i for i in range(m)]
+
+    phase1_cost = [Fraction(0)] * (n + n_slack) + [Fraction(1)] * m
+    status = _reference_simplex(tableau, basis, phase1_cost, total)
+    if status == UNBOUNDED:  # phase 1 is bounded below by 0; cannot happen
+        raise AssertionError("phase 1 unbounded")
+    if _reference_objective(tableau, basis, phase1_cost) != 0:
+        return LPResult(INFEASIBLE, None, None)
+    _reference_drive_out_artificials(tableau, basis, n + n_slack)
+
+    phase2_cost = c + [Fraction(0)] * (n_slack + m)
+    status = _reference_simplex(tableau, basis, phase2_cost, n + n_slack)
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED, None, None)
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][-1]
+    return LPResult(OPTIMAL, x, sum(ci * xi for ci, xi in zip(c, x)))
+
+
+def _reference_objective(tableau, basis, cost) -> Fraction:
+    return sum(cost[var] * tableau[i][-1] for i, var in enumerate(basis))
+
+
+def _reference_reduced_costs(tableau, basis, cost, ncols):
+    # y = c_B B^{-1} is implicit: tableau rows are already B^{-1} A.
+    out = []
+    for j in range(ncols):
+        rc = cost[j]
+        for i, var in enumerate(basis):
+            rc -= cost[var] * tableau[i][j]
+        out.append(rc)
+    return out
+
+
+def _reference_simplex(tableau, basis, cost, ncols) -> str:
+    m = len(tableau)
+    while True:
+        reduced = _reference_reduced_costs(tableau, basis, cost, ncols)
+        entering = next((j for j in range(ncols) if reduced[j] < 0), None)
+        if entering is None:
+            return OPTIMAL
+        # Bland: entering already lowest-index; leaving = lowest basis index
+        # among the minimum-ratio rows.
+        leaving = None
+        best = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return UNBOUNDED
+        _reference_pivot(tableau, basis, leaving, entering)
+
+
+def _reference_pivot(tableau, basis, row: int, col: int):
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    for i in range(len(tableau)):
+        if i != row and tableau[i][col] != 0:
+            factor = tableau[i][col]
+            tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[row])]
+    basis[row] = col
+
+
+def _reference_drive_out_artificials(tableau, basis, n_real: int):
+    for i in range(len(basis)):
+        if basis[i] >= n_real:
+            col = next((j for j in range(n_real) if tableau[i][j] != 0), None)
+            if col is not None:
+                _reference_pivot(tableau, basis, i, col)
+            # else: redundant row; harmless to leave the artificial at zero

@@ -100,6 +100,12 @@ def test_member_rejects_a_polynomial_from_another_ring():
             ideal.contains(PolyIdeal(x3))
 
 
+def test_equal_rejects_an_ideal_from_another_ring():
+    # x over F_5[x,y] against x over F_5[x,y,z]: not unequal, incomparable
+    with pytest.raises(RingMismatchError):
+        PolyIdeal(P("x")).equal(PolyIdeal(P("x", Ring.prime_field(3, 5))))
+
+
 def test_equality_of_different_generating_sets():
     I = PolyIdeal([P("x"), P("y")])
     J = PolyIdeal([P("x + y"), P("x - y")])

@@ -2,9 +2,22 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, strategies as st
+import oracles
+import pytest
+from hypothesis import example, given, strategies as st
 
+from thresholds import lp
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+
+BEALE = (
+    [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
+    [
+        [Fraction(1, 4), -60, Fraction(-1, 25), 9],
+        [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+        [0, 0, 1, 0],
+    ],
+    [0, 0, 1],
+)
 
 
 def test_simple_optimum():
@@ -35,13 +48,7 @@ def test_unbounded():
 
 def test_degenerate_does_not_cycle():
     # classic cycling-prone instance (Beale); Bland's rule must terminate
-    c = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]
-    A_ub = [
-        [Fraction(1, 4), -60, Fraction(-1, 25), 9],
-        [Fraction(1, 2), -90, Fraction(-1, 50), 3],
-        [0, 0, 1, 0],
-    ]
-    b_ub = [0, 0, 1]
+    c, A_ub, b_ub = BEALE
     res = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
     assert res.status == OPTIMAL
     assert res.objective == Fraction(-1, 20)
@@ -73,6 +80,64 @@ def test_solution_is_feasible_and_beats_origin(c, rows):
         for row, bb in zip(A_ub, b_ub):
             assert sum(a * x for a, x in zip(row, res.x)) <= bb
         assert res.objective <= 0
+
+
+def test_mismatched_shapes_raise():
+    with pytest.raises(ValueError):  # one rhs for two rows
+        solve_lp([-1, -1], A_ub=[[1, 0], [0, 1]], b_ub=[1])
+    with pytest.raises(ValueError):
+        solve_lp([1, 1], A_eq=[[1, 1]], b_eq=[1, 2])
+    with pytest.raises(ValueError):  # a row shorter than c
+        solve_lp([1, 1], A_ub=[[1, 0], [1]], b_ub=[1, 1])
+    with pytest.raises(ValueError):
+        solve_lp([1], A_eq=[[1, 1]], b_eq=[1])
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _lps(draw):
+    """1-5 variables, 0-4 <= rows and 0-2 = rows, right-hand sides of both
+    signs, so every status occurs."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(_ENTRY, min_size=n, max_size=n)
+    A_ub = draw(st.lists(row, max_size=4))
+    A_eq = draw(st.lists(row, max_size=2))
+    b_ub = draw(st.lists(_ENTRY, min_size=len(A_ub), max_size=len(A_ub)))
+    b_eq = draw(st.lists(_ENTRY, min_size=len(A_eq), max_size=len(A_eq)))
+    return draw(row), A_ub, b_ub, A_eq, b_eq
+
+
+def _solve_counting_pivots(solve, module, pivot, problem, cap):
+    """(result, pivots) of one solve; a pivot past ``cap`` fails at once, so a
+    kernel that repeats a pivot forever fails instead of hanging."""
+    count = 0
+    original = getattr(module, pivot)
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        assert count <= cap, f"more than {cap} pivots"
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, pivot, counting)
+        res = solve(*problem)
+    return res, count
+
+
+@example(BEALE + ([], []))
+@given(_lps())
+def test_carried_reduced_costs_take_the_reference_pivots(problem):
+    """The carried reduced-cost row and the sparse pivot change no decision:
+    same status, x and objective as the plain tableau, pivot for pivot."""
+    ref, ref_pivots = _solve_counting_pivots(
+        oracles.solve_lp_reference, oracles, "_reference_pivot", problem, 1000
+    )
+    res, pivots = _solve_counting_pivots(solve_lp, lp, "_pivot", problem, ref_pivots)
+    assert (res.status, res.x, res.objective) == (ref.status, ref.x, ref.objective)
+    assert pivots == ref_pivots
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thresholds"

@@ -177,6 +177,14 @@ def test_ray_entry_matches_the_oracles(ideal_v):
         assert t0 == ray_entry_dual(a, v)
 
 
+def test_ray_entry_rejects_a_ray_of_another_dimension_or_not_positive():
+    a = MonomialIdeal.parse("x^2, y^3")
+    assert ray_entry(a, (1, 1)) == Fraction(6, 5)
+    for v in ((1, 1, 1), (1,), (-1, 2), (0, 1)):
+        with pytest.raises(ValueError):
+            ray_entry(a, v)
+
+
 # each example runs one LP per undecided point of a box, twice, and a
 # non-m-primary ideal in three variables can leave thousands undecided;
 # 15 examples keep the test to seconds (20 take over 30 s)
