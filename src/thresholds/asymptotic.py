@@ -14,10 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from thresholds.lp import OPTIMAL, solve_lp
-from thresholds.newton import MonomialIdeal, diagonal_entry_min, monomial_valuation
+from thresholds.newton import (
+    MonomialIdeal,
+    diagonal_entry_min,
+    extreme_rays,
+    monomial_valuation,
+)
 
 SQRT_DIGITS = 30
 
@@ -126,13 +130,17 @@ class PolyhedralQ:
         v = [Fraction(x) for x in v]
         if len(v) != self.n or any(x < 0 for x in v):
             raise ValueError("need n weights, each >= 0")
-        # minimize <v, u> over Q
-        A_ub = [[-x for x in row] for row in self.C]
-        b_ub = [-x for x in self.b]
-        res = solve_lp(v, A_ub, b_ub)
-        if res.status != OPTIMAL:
-            raise AssertionError(f"valuation LP {res.status}")
-        return res.objective, res.objective
+        # v >= 0 is bounded below on Q, so its minimum sits at a vertex; the
+        # vertices u/t are the rays with t > 0 of {(u, t) >= 0 : C u - t b >= 0}
+        rows = [tuple(int(i == j) for j in range(self.n + 1)) for i in range(self.n + 1)]
+        for row, bb in zip(self.C, self.b):
+            scale = lcm(*(x.denominator for x in row), bb.denominator)
+            rows.append(tuple(int(x * scale) for x in row) + (int(-bb * scale),))
+        w = min(
+            sum(x * y for x, y in zip(v, ray)) / ray[-1]
+            for ray, _ in extreme_rays(rows) if ray[-1] > 0
+        )
+        return w, w
 
 
 class HyperbolaQ:

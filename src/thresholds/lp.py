@@ -7,6 +7,8 @@ tableau row, and a pivot touches only the rows with a nonzero in the pivot
 column and, in them, only the columns where the pivot row is nonzero.  The
 arithmetic is exact, so the carried row equals the one rebuilt from the
 basis and every pivot is the one the plain tableau method would take.
+The two phases of one LP share ``DEFAULT_PIVOT_BUDGET`` pivots, read through
+``rings.budget``; one more raises ``BudgetExceededError``.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from thresholds.rings import BudgetExceededError, budget
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+DEFAULT_PIVOT_BUDGET = 10**5  # simplex pivots of one LP, both phases
 
 
 @dataclass
@@ -31,7 +36,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
 
     All inputs may be ints or Fractions; the result is exact.  A right-hand
     side of the wrong length, or a row of another length than ``c``, raises
-    ``ValueError``.
+    ``ValueError``; an LP that needs more pivots than the pivot budget raises
+    ``BudgetExceededError``.
     """
     A_ub = A_ub or []
     b_ub = b_ub or []
@@ -74,7 +80,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     basis = [n + n_slack + i for i in range(m)]
 
     phase1_cost = [Fraction(0)] * (n + n_slack) + [Fraction(1)] * m
-    status = _simplex(tableau, basis, phase1_cost, total)
+    left = budget(DEFAULT_PIVOT_BUDGET)
+    status, left = _simplex(tableau, basis, phase1_cost, total, left)
     if status == UNBOUNDED:  # phase 1 is bounded below by 0; cannot happen
         raise AssertionError("phase 1 unbounded")
     if _objective(tableau, basis, phase1_cost) != 0:
@@ -82,7 +89,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     _drive_out_artificials(tableau, basis, n + n_slack)
 
     phase2_cost = c + [Fraction(0)] * (n_slack + m)
-    status = _simplex(tableau, basis, phase2_cost, n + n_slack)
+    status, _ = _simplex(tableau, basis, phase2_cost, n + n_slack, left)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     x = [Fraction(0)] * n
@@ -96,7 +103,9 @@ def _objective(tableau, basis, cost) -> Fraction:
     return sum(cost[var] * tableau[i][-1] for i, var in enumerate(basis))
 
 
-def _simplex(tableau, basis, cost, ncols) -> str:
+def _simplex(tableau, basis, cost, ncols, left: int) -> tuple:
+    """Run the simplex from the current basis; return the status and how
+    many of the ``left`` pivots remain."""
     m = len(tableau)
     # reduced[j] = cost[j] - c_B (B^{-1} A)_j; tableau rows are already B^{-1} A.
     reduced = cost[:ncols]
@@ -110,7 +119,7 @@ def _simplex(tableau, basis, cost, ncols) -> str:
     while True:
         entering = next((j for j in range(ncols) if reduced[j] < 0), None)
         if entering is None:
-            return OPTIMAL
+            return OPTIMAL, left
         # Bland: entering already lowest-index; leaving = lowest basis index
         # among the minimum-ratio rows.
         leaving = None
@@ -125,7 +134,10 @@ def _simplex(tableau, basis, cost, ncols) -> str:
                     best = ratio
                     leaving = i
         if leaving is None:
-            return UNBOUNDED
+            return UNBOUNDED, left
+        if not left:
+            raise BudgetExceededError("LP pivot budget exceeded")
+        left -= 1
         support = _pivot(tableau, basis, leaving, entering)
         factor = reduced[entering]
         row = tableau[leaving]

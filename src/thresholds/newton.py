@@ -2,8 +2,9 @@
 
 The Newton polyhedron of a monomial ideal is ``conv(gens) + R_{>=0}^n``,
 represented implicitly by the generator exponents.  Where a positive ray
-enters it (one exact LP) gives the threshold and the monomial test ideal; the
-multiplicity comes from an exact covolume computed by recursive slicing.
+enters it (one exact LP) gives the threshold and the monomial test ideal.
+Its facets come from an exact integer double description, and the
+multiplicity is the covolume summed over a triangulation of the compact ones.
 """
 
 from __future__ import annotations
@@ -165,88 +166,177 @@ def monomial_valuation(v, a: MonomialIdeal) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# Covolume and multiplicity
+# Facets by double description; covolume and multiplicity
 # ----------------------------------------------------------------------
 
-def _slice_points(points, t: Fraction):
-    """Generators of the slice {u' : (u', t) in conv(points)+orthant}.
+def _primitive(vec) -> tuple:
+    """The integer vector divided by the gcd of its entries."""
+    g = math.gcd(*vec)
+    return tuple(x // g for x in vec)
 
-    Vertices of the slice come from points at height <= t and from edges
-    mixing a low point with a high point exactly at height t.
+
+def _initial_cone(rows):
+    """Indices of the first d linearly independent rows, and the rays of the
+    simplicial cone they cut out: ray j is column j of the inverse of the
+    d x d matrix B of those rows, zero on all of them but row j.  Integer
+    elimination throughout: Gauss-Jordan turns [B | I] into [D | D B^-1]
+    with D diagonal."""
+    d = len(rows[0])
+    picked, echelon = [], []
+    for i, row in enumerate(rows):
+        for col, e in echelon:
+            if row[col]:
+                f, g = e[col], row[col]
+                row = [f * x - g * y for x, y in zip(row, e)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        echelon.append((col, row))
+        picked.append(i)
+        if len(picked) == d:
+            break
+    if len(picked) < d:
+        raise ValueError("the cone contains a line")
+    m = [list(rows[i]) + [int(k == j) for j in range(d)] for k, i in enumerate(picked)]
+    for c in range(d):
+        p = next(i for i in range(c, d) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        for i in range(d):
+            if i != c and m[i][c]:
+                f, g = m[c][c], m[i][c]
+                m[i] = _primitive([f * x - g * y for x, y in zip(m[i], m[c])])
+    scale = math.lcm(*(m[i][i] for i in range(d)))
+    rays = [_primitive([m[i][d + j] * (scale // m[i][i]) for i in range(d)])
+            for j in range(d)]
+    return picked, rays
+
+
+def extreme_rays(rows) -> list:
+    """Extreme rays of the pointed cone {x : <a, x> >= 0 for each row a}.
+
+    Exact double description over integer rows (Motzkin, Raiffa, Thompson
+    and Thrall 1953; Fukuda and Prodon 1996): start from the simplicial cone
+    of d independent rows and add the other rows one at a time.  A new row
+    keeps the rays on its side and joins each pair of rays on opposite sides
+    that are adjacent, which the combinatorial test decides: no third ray is
+    tight on every row that both are tight on (distinct extreme rays have
+    distinct tight sets).  Returns ``(ray, tight)`` pairs: a primitive
+    integer vector and the bitmask of the rows that are zero on it.  A cone that contains a line raises ``ValueError``.
     """
-    low = [p for p in points if p[-1] <= t]
-    high = [p for p in points if p[-1] > t]
-    out = [p[:-1] for p in low]
-    for a in low:
-        for b in high:
-            s = (t - a[-1]) / (b[-1] - a[-1])
-            out.append(
-                tuple(x + (y - x) * s for x, y in zip(a[:-1], b[:-1]))
-            )
+    d = len(rows[0])
+    picked, basis_rays = _initial_cone(rows)
+    full = sum(1 << i for i in picked)
+    rays = [(r, full & ~(1 << i)) for i, r in zip(picked, basis_rays)]
+    for i in sorted(set(range(len(rows))) - set(picked)):
+        a, bit = rows[i], 1 << i
+        pos, neg, new = [], [], []
+        for r, tight in rays:
+            s = sum(x * y for x, y in zip(a, r))
+            if s > 0:
+                pos.append((r, tight, s))
+                new.append((r, tight))
+            elif s < 0:
+                neg.append((r, tight, s))
+            else:
+                new.append((r, tight | bit))
+        for rp, tp, sp in pos:
+            for rn, tn, sn in neg:
+                common = tp & tn
+                if common.bit_count() < d - 2 or any(
+                    common & t == common and t != tp and t != tn for _, t in rays
+                ):
+                    continue
+                new.append((_primitive([sp * y - sn * x for x, y in zip(rp, rn)]),
+                            common | bit))
+        rays = new
+    return rays
+
+
+def facets(points) -> list:
+    """Facets <w, u> >= b of conv(points) + R^n_{>=0}, for integer points.
+
+    A valid inequality is a pair (w, b) with w >= 0 and <w, g> >= b at each
+    point g, so the facets are the extreme rays of that cone of pairs, all
+    but the trivial 0 >= -1.  Each facet comes as ``(w, b, on)`` with w a
+    primitive integer vector and ``on`` the frozenset of the indices of the
+    points on it.  The coordinate facets u_i >= 0 have b = 0; every other
+    facet of an m-primary point set has b > 0 and is compact.
+    """
+    n = len(points[0])
+    rows = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
+    rows += [tuple(p) + (-1,) for p in points]
+    out = []
+    for (*w, b), tight in extreme_rays(rows):
+        if b >= 0:
+            on = frozenset(i for i in range(len(points)) if tight >> (n + i) & 1)
+            out.append((tuple(w), b, on))
     return out
 
 
-def _interp_integral(xs, ys, lo: Fraction, hi: Fraction) -> Fraction:
-    """Integral over [lo, hi] of the Lagrange interpolant through (xs, ys)."""
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        # integrate the i-th Lagrange basis polynomial exactly
-        coeffs = [Fraction(1)]  # polynomial in t, ascending powers
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(coeffs) + 1)
-            for d, cd in enumerate(coeffs):
-                new[d] -= cd * xj
-                new[d + 1] += cd
-            coeffs = new
-        integral = sum(
-            cd * (hi ** (d + 1) - lo ** (d + 1)) / (d + 1)
-            for d, cd in enumerate(coeffs)
-        )
-        total += yi * integral / denom
-    return total
+def _pulling(face: frozenset, facet_sets) -> list:
+    """Pulling triangulation of a compact face, given by the set of points on
+    it: cone its least point over the triangulated facets of the face that
+    miss that point.  The facets of a face are the maximal proper nonempty
+    intersections of its point set with the facets of the polyhedron."""
+    cuts = {face & s for s in facet_sets} - {face, frozenset()}
+    ridges = [r for r in cuts if not any(r < s for s in cuts)]
+    p = min(face)
+    if not ridges:  # a vertex
+        return [(p,)]
+    return [(p,) + simplex for r in ridges if p not in r
+            for simplex in _pulling(r, facet_sets)]
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination."""
+    m = [list(r) for r in rows]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def covolume(points, n: int) -> Fraction:
     """Volume of the orthant complement of conv(points)+orthant.
 
-    Requires the complement to be bounded, which holds when the points include
-    one on each coordinate axis.  Recursive slicing along the last coordinate:
-    between consecutive generator heights the slice volume is a polynomial of
-    degree < n, recovered by exact interpolation and integrated.
+    The complement is bounded exactly when some point lies on each
+    coordinate axis (the origin lies on all of them).  Otherwise, and for no
+    points, a point of another length than n or a negative coordinate,
+    ``ValueError`` is raised.  The complement is then the union of the cones
+    from the origin over the compact facets (b > 0), so the volume is
+    sum |det(v_1, ..., v_n)| / n! over a pulling triangulation of those
+    facets.  Fraction points are scaled to integers by the lcm of their
+    denominators first, and the volume scaled back.
     """
-    points = minimal_points([tuple(Fraction(x) for x in p) for p in points])
-    if n == 1:
-        return min(p[0] for p in points)
-    heights = sorted({p[-1] for p in points})
-    if heights[0] != 0:
-        heights.insert(0, Fraction(0))
-    total = Fraction(0)
-    for lo, hi in zip(heights, heights[1:]):
-        span = hi - lo
-        # n interior sample points determine the degree <(n) polynomial; one
-        # extra point cross-checks that the degree bound actually holds
-        xs = [lo + span * Fraction(j, n + 2) for j in range(1, n + 2)]
-        ys = [covolume(_slice_points(points, t), n - 1) for t in xs]
-        extra = _interp_value(xs[:-1], ys[:-1], xs[-1])
-        if extra != ys[-1]:
-            raise AssertionError("slice volume not polynomial on interval")
-        total += _interp_integral(xs[:-1], ys[:-1], lo, hi)
-    return total
-
-
-def _interp_value(xs, ys, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        term = yi
-        for j, xj in enumerate(xs):
-            if j != i:
-                term *= (x - xj) / (xi - xj)
-        out += term
-    return out
+    points = [tuple(Fraction(x) for x in p) for p in points]
+    if not points or any(len(p) != n for p in points):
+        raise ValueError(f"covolume needs at least one point, each with {n} entries")
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    points = minimal_points([tuple(int(x * scale) for x in p) for p in points])
+    if any(x < 0 for p in points for x in p):
+        raise ValueError("covolume needs points with entries >= 0")
+    for i in range(n):
+        # an axis point is dominated only by a smaller one on the same axis
+        if not any(all(x == 0 for j, x in enumerate(p) if j != i) for p in points):
+            raise ValueError(f"no point on axis {i + 1}: the covolume is infinite")
+    faces = facets(points)
+    sets = [on for _, _, on in faces]
+    total = sum(
+        abs(_det([points[i] for i in simplex]))
+        for _, b, on in faces if b > 0
+        for simplex in _pulling(on, sets)
+    )
+    return Fraction(total, math.factorial(n) * scale**n)
 
 
 def multiplicity_monomial(a: MonomialIdeal) -> int:

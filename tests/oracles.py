@@ -10,7 +10,7 @@ from math import ceil
 
 from thresholds.grobner import PolyIdeal
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
-from thresholds.newton import MonomialIdeal
+from thresholds.newton import MonomialIdeal, minimal_points
 from thresholds.rings import Polynomial, Ring
 
 
@@ -212,3 +212,85 @@ def _reference_drive_out_artificials(tableau, basis, n_real: int):
             if col is not None:
                 _reference_pivot(tableau, basis, i, col)
             # else: redundant row; harmless to leave the artificial at zero
+
+
+def _slice_points(points, t: Fraction):
+    """Generators of the slice {u' : (u', t) in conv(points)+orthant}.
+
+    Vertices of the slice come from points at height <= t and from edges
+    mixing a low point with a high point exactly at height t.
+    """
+    low = [p for p in points if p[-1] <= t]
+    high = [p for p in points if p[-1] > t]
+    out = [p[:-1] for p in low]
+    for a in low:
+        for b in high:
+            s = (t - a[-1]) / (b[-1] - a[-1])
+            out.append(
+                tuple(x + (y - x) * s for x, y in zip(a[:-1], b[:-1]))
+            )
+    return out
+
+
+def _interp_integral(xs, ys, lo: Fraction, hi: Fraction) -> Fraction:
+    """Integral over [lo, hi] of the Lagrange interpolant through (xs, ys)."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        # integrate the i-th Lagrange basis polynomial exactly
+        coeffs = [Fraction(1)]  # polynomial in t, ascending powers
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            denom *= xi - xj
+            new = [Fraction(0)] * (len(coeffs) + 1)
+            for d, cd in enumerate(coeffs):
+                new[d] -= cd * xj
+                new[d + 1] += cd
+            coeffs = new
+        integral = sum(
+            cd * (hi ** (d + 1) - lo ** (d + 1)) / (d + 1)
+            for d, cd in enumerate(coeffs)
+        )
+        total += yi * integral / denom
+    return total
+
+
+def covolume_reference(points, n: int) -> Fraction:
+    """Volume of the orthant complement of conv(points)+orthant, the reference
+    for ``thresholds.newton.covolume``.
+
+    Requires the complement to be bounded, which holds when the points include
+    one on each coordinate axis.  Recursive slicing along the last coordinate:
+    between consecutive generator heights the slice volume is a polynomial of
+    degree < n, recovered by exact interpolation and integrated.
+    """
+    points = minimal_points([tuple(Fraction(x) for x in p) for p in points])
+    if n == 1:
+        return min(p[0] for p in points)
+    heights = sorted({p[-1] for p in points})
+    if heights[0] != 0:
+        heights.insert(0, Fraction(0))
+    total = Fraction(0)
+    for lo, hi in zip(heights, heights[1:]):
+        span = hi - lo
+        # n interior sample points determine the degree <(n) polynomial; one
+        # extra point cross-checks that the degree bound actually holds
+        xs = [lo + span * Fraction(j, n + 2) for j in range(1, n + 2)]
+        ys = [covolume_reference(_slice_points(points, t), n - 1) for t in xs]
+        extra = _interp_value(xs[:-1], ys[:-1], xs[-1])
+        if extra != ys[-1]:
+            raise AssertionError("slice volume not polynomial on interval")
+        total += _interp_integral(xs[:-1], ys[:-1], lo, hi)
+    return total
+
+
+def _interp_value(xs, ys, x: Fraction) -> Fraction:
+    out = Fraction(0)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = yi
+        for j, xj in enumerate(xs):
+            if j != i:
+                term *= (x - xj) / (xi - xj)
+        out += term
+    return out

@@ -17,6 +17,7 @@ from thresholds.asymptotic import (
 )
 from helpers import within_seconds
 from oracles import ray_entry_dual
+from thresholds.lp import OPTIMAL, solve_lp
 from thresholds.newton import MonomialIdeal, _lower_hull, lct_monomial
 
 
@@ -94,6 +95,27 @@ def test_polyhedral_validation():
     for v in ((-1, 1), (1, 1, 1)):
         with pytest.raises(ValueError):
             seq.val_limit(v)  # unbounded below, or the wrong dimension
+
+
+@st.composite
+def _region_and_weight(draw):
+    """Q = {u >= 0 : C u >= b} in 1-3 variables with 1-4 nonzero rows C >= 0
+    and b > 0, integer and fractional, and a weight v >= 0."""
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=3))
+    row = st.lists(entry, min_size=n, max_size=n).filter(any)
+    C = draw(st.lists(row, min_size=1, max_size=4))
+    rhs = st.one_of(st.integers(1, 5), st.fractions(Fraction(1, 3), 5, max_denominator=3))
+    b = draw(st.lists(rhs, min_size=len(C), max_size=len(C)))
+    return C, b, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@given(_region_and_weight())
+def test_val_limit_from_vertices_matches_the_lp(region):
+    C, b, v = region
+    res = solve_lp(v, [[-x for x in row] for row in C], [-x for x in b])
+    assert res.status == OPTIMAL
+    assert PolyhedralQ(C, b).val_limit(v) == (res.objective, res.objective)
 
 
 def test_polyhedral_staircase_ends_where_u2_stops_moving():

@@ -154,6 +154,8 @@ def test_budget_env_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("THRESHOLDS_BUDGET", "1")
     assert run(["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "2"]) == 3
     assert "error:" in capsys.readouterr().err
+    assert run(["lct", "--monomial", "x^2, y^3"]) == 3  # the ray LP's pivots
+    assert "pivot budget" in capsys.readouterr().err
     monkeypatch.setenv("THRESHOLDS_BUDGET", "zero")
     assert run(["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "1"]) == 2
 

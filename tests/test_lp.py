@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from thresholds import lp
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from thresholds.rings import BudgetExceededError
 
 BEALE = (
     [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
@@ -52,6 +53,13 @@ def test_degenerate_does_not_cycle():
     res = solve_lp(c, A_ub=A_ub, b_ub=b_ub)
     assert res.status == OPTIMAL
     assert res.objective == Fraction(-1, 20)
+
+
+def test_pivot_budget_stops_the_simplex(monkeypatch):
+    # Beale's LP takes 6 pivots; a budget of 3 raises before the fourth
+    monkeypatch.setenv("THRESHOLDS_BUDGET", "3")
+    with pytest.raises(BudgetExceededError, match="pivot budget"):
+        solve_lp(*BEALE)
 
 
 def test_exact_rationals_survive():
@@ -168,20 +176,20 @@ def _uses(tree, name):
 
 def test_solve_lp_only_in_the_ray_and_region_lps():
     """The monomial layer asks the simplex one question, where a ray enters
-    P(a); the one other LP minimizes a weight over a region given by
-    inequalities, which has no generators to take a hull of."""
+    P(a).  A weight over a region given by inequalities is minimized over the
+    region's vertices, from ``newton.extreme_rays``, not by an LP."""
     uses, importers = set(), set()
     for path in sorted(SRC.glob("*.py")):
         found, imported = _uses(ast.parse(path.read_text()), "solve_lp")
         uses |= {(path.stem, f) for f in found}
         if imported:
             importers.add(path.stem)
-    assert uses == {("newton", "ray_entry"), ("asymptotic", "PolyhedralQ.val_limit")}
-    assert importers == {"newton", "asymptotic"}
+    assert uses == {("newton", "ray_entry")}
+    assert importers == {"newton"}
 
 
 BUDGETS = ("DEFAULT_TERM_BUDGET", "WALK_BUDGET", "DEFAULT_BOX_BUDGET",
-           "DEFAULT_PRODUCT_BUDGET", "DEFAULT_PAIR_BUDGET")
+           "DEFAULT_PRODUCT_BUDGET", "DEFAULT_PAIR_BUDGET", "DEFAULT_PIVOT_BUDGET")
 
 
 def test_budgets_are_read_never_written():

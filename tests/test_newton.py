@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import brute_lct_diagonal, m_primary_exponent_sets, monomial_exponent_sets
-from oracles import contains_point, ray_entry_dual, tau_by_slack
+from oracles import contains_point, covolume_reference, ray_entry_dual, tau_by_slack
 from thresholds.grobner import PolyIdeal, ideal_power
 from thresholds.newton import (
     MonomialIdeal,
@@ -12,6 +12,7 @@ from thresholds.newton import (
     check_amgm,
     covolume,
     diagonal_entry_min,
+    facets,
     lct_monomial,
     minimal_points,
     monomial_valuation,
@@ -49,7 +50,7 @@ def test_minimal_generators(points, den):
     assert minimal_points(points) == _minimal_by_pairs(points)
     n = len(points[0])
     assert MonomialIdeal(n, points).gens == tuple(_minimal_by_pairs(points))
-    # covolume minimalizes Fraction points
+    # the covolume oracle minimalizes Fraction points
     scaled = [tuple(Fraction(x, den) for x in p) for p in points]
     assert minimal_points(scaled) == _minimal_by_pairs(scaled)
 
@@ -207,6 +208,67 @@ def test_monomial_valuation():
 def test_covolume_diagonal():
     assert covolume([(2, 0), (0, 3)], 2) == 3
     assert covolume([(2, 0, 0), (0, 3, 0), (0, 0, 5)], 3) == 5
+    assert covolume([(0, 0), (1, 1)], 2) == 0  # the origin is on every axis
+
+
+def test_covolume_rejects_an_infinite_or_malformed_input():
+    for points, n in (
+        ([(2, 0), (1, 1)], 2),  # no point on the second axis
+        ([(2, 0, 0), (0, 3, 0)], 3),
+        ([], 2),
+        ([(2, 0), (0, 3, 1)], 2),  # a point of another length
+        ([(2, 0), (-1, 2), (0, 3)], 2),
+    ):
+        with pytest.raises(ValueError):
+            covolume(points, n)
+
+
+def _affine_rank(points) -> int:
+    rows = [[Fraction(x - y) for x, y in zip(p, points[0])] for p in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _m_primary_points(draw):
+    """n = 2-4, a pure power on each axis and up to 3 mixed points; as
+    integers, or as Fractions over a common denominator 2-4."""
+    n = draw(st.integers(2, 4))
+    gens = draw(m_primary_exponent_sets(n, max_extra=3))
+    den = draw(st.integers(1, 4))
+    points = [tuple(Fraction(x, den) for x in g) for g in gens] if den > 1 else gens
+    return n, gens, points
+
+
+@given(_m_primary_points(), st.lists(st.integers(1, 7), min_size=4, max_size=4))
+def test_facets_and_covolume_match_the_oracles(case, v):
+    n, gens, points = case
+    assert covolume(points, n) == covolume_reference(points, n)
+    a = MonomialIdeal(n, gens)
+    faces = facets(a.gens)
+    for w, b, on in faces:
+        assert all(x >= 0 for x in w)
+        values = [sum(x * y for x, y in zip(w, g)) for g in a.gens]
+        assert min(values) == b
+        assert on == {i for i, value in enumerate(values) if value == b}
+        # n affinely independent points of P(a) on the facet: its generators,
+        # and one of them moved along each axis the facet is parallel to
+        first = a.gens[min(on)]
+        moved = [tuple(x + (j == i) for j, x in enumerate(first))
+                 for i in range(n) if not w[i]]
+        assert _affine_rank([a.gens[i] for i in on] + moved) == n - 1
+    # the facets and the ray LP agree on where a ray enters P(a)
+    v = v[:n]
+    assert ray_entry(a, v) == max(
+        Fraction(b, sum(x * y for x, y in zip(w, v))) for w, b, _ in faces
+    )
 
 
 def test_multiplicity_known_values():
