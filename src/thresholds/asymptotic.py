@@ -132,13 +132,13 @@ class PolyhedralQ:
             raise ValueError("need n weights, each >= 0")
         # v >= 0 is bounded below on Q, so its minimum sits at a vertex; the
         # vertices u/t are the rays with t > 0 of {(u, t) >= 0 : C u - t b >= 0}
-        rows = [tuple(int(i == j) for j in range(self.n + 1)) for i in range(self.n + 1)]
+        rows = []
         for row, bb in zip(self.C, self.b):
             scale = lcm(*(x.denominator for x in row), bb.denominator)
             rows.append(tuple(int(x * scale) for x in row) + (int(-bb * scale),))
         w = min(
             sum(x * y for x, y in zip(v, ray)) / ray[-1]
-            for ray, _ in extreme_rays(rows) if ray[-1] > 0
+            for ray, _ in extreme_rays(rows, self.n + 1) if ray[-1] > 0
         )
         return w, w
 

@@ -170,14 +170,15 @@ def _cmd_newton(args):
     from thresholds import newton
 
     ideal = newton.MonomialIdeal.parse(args.monomial)
+    lct = newton.lct_monomial(ideal) if ideal.is_proper() else None
     report = {
         "generators": [list(g) for g in ideal.gens],
-        "lct": fmt_q(newton.lct_monomial(ideal)) if ideal.is_proper() else None,
+        "lct": None if lct is None else fmt_q(lct),
         "m_primary": ideal.is_m_primary(),
     }
     if ideal.is_m_primary():
-        report["multiplicity"] = newton.multiplicity_monomial(ideal)
-        report["amgm_holds"] = newton.check_amgm(ideal)
+        e = report["multiplicity"] = newton.multiplicity_monomial(ideal)
+        report["amgm_holds"] = newton.check_amgm(e, lct, ideal.n)
     return report, True
 
 

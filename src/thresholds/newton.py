@@ -3,8 +3,10 @@
 The Newton polyhedron of a monomial ideal is ``conv(gens) + R_{>=0}^n``,
 represented implicitly by the generator exponents.  Where a positive ray
 enters it (one exact LP) gives the threshold and the monomial test ideal.
-Its facets come from an exact integer double description, and the
-multiplicity is the covolume summed over a triangulation of the compact ones.
+Its facets come from an exact integer double description, which starts
+from the unit vectors of an orthant that holds the cone of valid
+inequalities; the multiplicity is the covolume summed over a triangulation
+of the compact facets.
 """
 
 from __future__ import annotations
@@ -175,60 +177,24 @@ def _primitive(vec) -> tuple:
     return tuple(x // g for x in vec)
 
 
-def _initial_cone(rows):
-    """Indices of the first d linearly independent rows, and the rays of the
-    simplicial cone they cut out: ray j is column j of the inverse of the
-    d x d matrix B of those rows, zero on all of them but row j.  Integer
-    elimination throughout: Gauss-Jordan turns [B | I] into [D | D B^-1]
-    with D diagonal."""
-    d = len(rows[0])
-    picked, echelon = [], []
-    for i, row in enumerate(rows):
-        for col, e in echelon:
-            if row[col]:
-                f, g = e[col], row[col]
-                row = [f * x - g * y for x, y in zip(row, e)]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        echelon.append((col, row))
-        picked.append(i)
-        if len(picked) == d:
-            break
-    if len(picked) < d:
-        raise ValueError("the cone contains a line")
-    m = [list(rows[i]) + [int(k == j) for j in range(d)] for k, i in enumerate(picked)]
-    for c in range(d):
-        p = next(i for i in range(c, d) if m[i][c])
-        m[c], m[p] = m[p], m[c]
-        for i in range(d):
-            if i != c and m[i][c]:
-                f, g = m[c][c], m[i][c]
-                m[i] = _primitive([f * x - g * y for x, y in zip(m[i], m[c])])
-    scale = math.lcm(*(m[i][i] for i in range(d)))
-    rays = [_primitive([m[i][d + j] * (scale // m[i][i]) for i in range(d)])
-            for j in range(d)]
-    return picked, rays
-
-
-def extreme_rays(rows) -> list:
-    """Extreme rays of the pointed cone {x : <a, x> >= 0 for each row a}.
+def extreme_rays(rows, d: int) -> list:
+    """Extreme rays of the cone {x in R^d : x >= 0, <a, x> >= 0 for each row a}.
 
     Exact double description over integer rows (Motzkin, Raiffa, Thompson
-    and Thrall 1953; Fukuda and Prodon 1996): start from the simplicial cone
-    of d independent rows and add the other rows one at a time.  A new row
-    keeps the rays on its side and joins each pair of rays on opposite sides
-    that are adjacent, which the combinatorial test decides: no third ray is
-    tight on every row that both are tight on (distinct extreme rays have
-    distinct tight sets).  Returns ``(ray, tight)`` pairs: a primitive
-    integer vector and the bitmask of the rows that are zero on it.  A cone that contains a line raises ``ValueError``.
+    and Thrall 1953; Fukuda and Prodon 1996).  The cone lies in the orthant,
+    so it is pointed, and the orthant's unit vectors start the method.  Each
+    row is then added in turn: it keeps the rays on its side and joins each
+    pair of rays on opposite sides that are adjacent, which the combinatorial
+    test decides: no third ray is tight on every constraint that both are
+    tight on (distinct extreme rays have distinct tight sets).  Returns
+    ``(ray, tight)`` pairs: a primitive integer vector and the bitmask of the
+    constraints that are zero on it, bit j < d for x_j >= 0 and bit d + i
+    for row i.
     """
-    d = len(rows[0])
-    picked, basis_rays = _initial_cone(rows)
-    full = sum(1 << i for i in picked)
-    rays = [(r, full & ~(1 << i)) for i, r in zip(picked, basis_rays)]
-    for i in sorted(set(range(len(rows))) - set(picked)):
-        a, bit = rows[i], 1 << i
+    full = (1 << d) - 1
+    rays = [(tuple(int(i == j) for i in range(d)), full & ~(1 << j)) for j in range(d)]
+    for i, a in enumerate(rows):
+        bit = 1 << (d + i)
         pos, neg, new = [], [], []
         for r, tight in rays:
             s = sum(x * y for x, y in zip(a, r))
@@ -257,16 +223,20 @@ def facets(points) -> list:
 
     A valid inequality is a pair (w, b) with w >= 0 and <w, g> >= b at each
     point g, so the facets are the extreme rays of that cone of pairs, all
-    but the trivial 0 >= -1.  Each facet comes as ``(w, b, on)`` with w a
+    but the trivial 0 >= -1.  In the coordinates (w, c), c = <w, g_0> - b,
+    the cone lies in the orthant: c >= 0 at g_0 = points[0], and
+    <w, g - g_0> + c >= 0 at every other point g.  The change is unimodular,
+    so rays stay primitive, and point i is the constraint of bit n + i of a
+    ray's tight mask.  Each facet comes as ``(w, b, on)`` with w a
     primitive integer vector and ``on`` the frozenset of the indices of the
     points on it.  The coordinate facets u_i >= 0 have b = 0; every other
     facet of an m-primary point set has b > 0 and is compact.
     """
-    n = len(points[0])
-    rows = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
-    rows += [tuple(p) + (-1,) for p in points]
+    n, first = len(points[0]), points[0]
+    rows = [tuple(x - y for x, y in zip(p, first)) + (1,) for p in points[1:]]
     out = []
-    for (*w, b), tight in extreme_rays(rows):
+    for (*w, c), tight in extreme_rays(rows, n + 1):
+        b = sum(x * y for x, y in zip(w, first)) - c
         if b >= 0:
             on = frozenset(i for i in range(len(points)) if tight >> (n + i) & 1)
             out.append((tuple(w), b, on))
@@ -355,8 +325,7 @@ def multiplicity_monomial(a: MonomialIdeal) -> int:
     return result.numerator
 
 
-def check_amgm(a: MonomialIdeal) -> bool:
-    """Multiplicity bound e(a) * lct(a)^n >= n^n, exact rationals."""
-    e = multiplicity_monomial(a)
-    lct = lct_monomial(a)
-    return e * lct**a.n >= a.n**a.n
+def check_amgm(e: int, lct: Fraction, n: int) -> bool:
+    """Multiplicity bound e(a) * lct(a)^n >= n^n for an m-primary ideal a in
+    n variables, given its multiplicity e and threshold lct."""
+    return e * lct**n >= n**n

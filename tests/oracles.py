@@ -5,8 +5,8 @@ tests check the package's faster or more uniform paths against them.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import ceil
+from itertools import combinations, product
+from math import ceil, gcd
 
 from thresholds.grobner import PolyIdeal
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
@@ -293,4 +293,39 @@ def _interp_value(xs, ys, x: Fraction) -> Fraction:
             if j != i:
                 term *= (x - xj) / (xi - xj)
         out += term
+    return out
+
+
+def _laplace_det(m) -> int:
+    """Determinant by cofactor expansion along the first row; 1 for 0 x 0."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * _laplace_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def extreme_rays_reference(rows, d: int) -> set:
+    """Extreme rays of {x in R^d : x >= 0, <a, x> >= 0 for each row a}, the
+    reference for ``thresholds.newton.extreme_rays``: a set of (ray, tight)
+    pairs, bit j < d of the mask for x_j >= 0 and bit d + i for row i.
+
+    The cone lies in the orthant, so a nonzero point of it spans an extreme
+    ray exactly when the constraints zero on it have rank d - 1.  Brute
+    force over every d - 1 constraints of that rank: their kernel is the line
+    spanned by the signed maximal minors, and each primitive direction on it
+    that meets every constraint is an extreme ray.
+    """
+    cons = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    cons += [tuple(a) for a in rows]
+    out = set()
+    for sub in combinations(cons, d - 1):
+        k = [(-1) ** j * _laplace_det([c[:j] + c[j + 1:] for c in sub])
+             for j in range(d)]
+        if not any(k):
+            continue
+        g = gcd(*k)
+        for ray in (tuple(x // g for x in k), tuple(-x // g for x in k)):
+            values = [sum(x * y for x, y in zip(c, ray)) for c in cons]
+            if min(values) >= 0:
+                out.add((ray, sum(1 << i for i, v in enumerate(values) if not v)))
     return out

@@ -258,7 +258,8 @@ def test_criterion_9_amgm():
         ideal = MonomialIdeal(n, gens)
         if not ideal.is_m_primary():
             continue
-        assert check_amgm(ideal), gens
+        e, lct = multiplicity_monomial(ideal), lct_monomial(ideal)
+        assert check_amgm(e, lct, n), gens
         checked += 1
     # equality exactly on equal-exponent diagonals
     for n, a in [(1, 4), (2, 3), (3, 2), (4, 2)]:

@@ -22,6 +22,7 @@ SMOKE_JOBS = [
     ("principal", ["tau", "--poly", "x^2 + y^4", "--p", "7", "--lambda", "5/7"]),
     ("monomial",
      ["tau", "--poly", "y, y^3, x^3*y, x^5", "--p", "2", "--lambda", "2/3"]),
+    ("monomial", ["newton", "--monomial", "w^3, z^6, y^2, x^4*y^3*z^2*w^4, x^5"]),
 ]
 
 

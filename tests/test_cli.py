@@ -11,6 +11,7 @@ import pytest
 import thresholds
 import thresholds.frobenius as frobenius
 import thresholds.grobner as grobner
+import thresholds.newton as newton
 from thresholds.cli import build_parser, fmt_q, run
 from thresholds.rings import Ring, parse_polynomial, render_polynomial
 
@@ -82,6 +83,24 @@ def test_newton_command(capsys):
     assert rep["m_primary"] is True
     assert rep["multiplicity"] == 6
     assert rep["amgm_holds"] is True
+
+
+def test_newton_command_computes_lct_and_multiplicity_once(capsys, monkeypatch):
+    calls = {"covolume": 0, "solve_lp": 0}
+
+    def counted(name):
+        inner = getattr(newton, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(newton, name, counted(name))
+    assert run(["newton", "--monomial", "x^2, y^3, x*y^2"]) == 0
+    capsys.readouterr()
+    assert calls == {"covolume": 1, "solve_lp": 1}
 
 
 def test_asym_command_floats_only_in_approx(capsys):

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import brute_lct_diagonal, m_primary_exponent_sets, monomial_exponent_sets
-from oracles import contains_point, covolume_reference, ray_entry_dual, tau_by_slack
+from oracles import (
+    contains_point,
+    covolume_reference,
+    extreme_rays_reference,
+    ray_entry_dual,
+    tau_by_slack,
+)
 from thresholds.grobner import PolyIdeal, ideal_power
 from thresholds.newton import (
     MonomialIdeal,
@@ -12,6 +18,7 @@ from thresholds.newton import (
     check_amgm,
     covolume,
     diagonal_entry_min,
+    extreme_rays,
     facets,
     lct_monomial,
     minimal_points,
@@ -223,6 +230,25 @@ def test_covolume_rejects_an_infinite_or_malformed_input():
             covolume(points, n)
 
 
+@st.composite
+def _cones(draw):
+    """d = 2-5 and 0-6 integer rows with entries in [-4, 4]."""
+    d = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), max_size=6))
+    return rows, d
+
+
+# more examples than the suite's 30: an adjacency test without its third-ray
+# check still passes 50 of them
+@settings(max_examples=100)
+@given(_cones())
+def test_extreme_rays_match_the_brute_force_oracle(cone):
+    rows, d = cone
+    rays = extreme_rays(rows, d)
+    assert len(set(rays)) == len(rays)
+    assert set(rays) == extreme_rays_reference(rows, d)
+
+
 def _affine_rank(points) -> int:
     rows = [[Fraction(x - y) for x, y in zip(p, points[0])] for p in points[1:]]
     rank = 0
@@ -296,11 +322,15 @@ def test_amgm_equality_on_equal_diagonals():
         assert e * lct**n == n**n
 
 
+def _amgm(a):
+    return check_amgm(multiplicity_monomial(a), lct_monomial(a), a.n)
+
+
 @given(m_primary_exponent_sets(2))
 def test_amgm_random_2d(gens):
-    assert check_amgm(MonomialIdeal(2, gens))
+    assert _amgm(MonomialIdeal(2, gens))
 
 
 @given(m_primary_exponent_sets(3, max_exp=4, max_extra=1))
 def test_amgm_random_3d(gens):
-    assert check_amgm(MonomialIdeal(3, gens))
+    assert _amgm(MonomialIdeal(3, gens))
