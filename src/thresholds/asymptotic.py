@@ -96,6 +96,8 @@ class PolyhedralQ:
             raise ValueError("a zero row of C makes Q empty")
 
     def ideal(self, m: int) -> MonomialIdeal:
+        if m < 1:
+            raise ValueError("m must be >= 1")
         if self.n != 2:
             raise NotImplementedError("enumeration implemented for n = 2 only")
         gens = []

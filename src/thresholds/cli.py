@@ -1,9 +1,9 @@
 """Command-line front end.
 
-One subcommand per capability: ``lct``, ``fpt``, ``nu``, ``tau``, ``fjump``,
-``newton``, ``asym``, ``compare``, ``ordinary``.  Reports are deterministic;
-JSON output carries ``"schema": 1`` and renders every rational as a
-``"num/den"`` string.  Floating point appears only in explicitly labeled
+One subcommand per capability.  ``_COMMANDS`` declares each one's help, flags
+and body; the parser and the dispatch both read it.  Reports are
+deterministic; JSON output carries ``"schema": 1`` and renders every rational
+as a ``"num/den"`` string.  Floating point appears only in explicitly labeled
 ``approx`` fields of asymptotic reports.
 
 Exit codes: 0 success, 2 malformed input, 3 budget exhaustion (always) or
@@ -37,79 +37,11 @@ def _interval_dict(r) -> dict:
 
 def _parse_gens(text: str, p: int) -> list:
     """Comma-separated generator list over F_p."""
-    from thresholds.rings import ParseError, infer_ring, parse_polynomial
+    from thresholds.rings import infer_ring, parse_polynomial
 
-    pieces = [s.strip() for s in text.split(",") if s.strip()]
-    if not pieces:
-        raise ParseError("empty generator list", 0)
+    pieces = [s.strip() for s in text.split(",")]
     ring = infer_ring("+".join(pieces), "Fp", p)
     return [parse_polynomial(s, ring) for s in pieces]
-
-
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.add_argument("--strict", action="store_true")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="thresholds",
-        description="Exact singularity thresholds: log canonical and F-pure.",
-    )
-    sp = ap.add_subparsers(dest="command", required=True)
-
-    s = sp.add_parser("lct", help="log canonical threshold of a monomial ideal")
-    s.add_argument("--monomial", required=True, metavar="GENS")
-    _add_common(s)
-
-    s = sp.add_parser("fpt", help="F-pure threshold enclosure")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--e", type=int, default=3, help="largest Frobenius level used")
-    _add_common(s)
-
-    s = sp.add_parser("nu", help="largest i with a^i outside m^[p^e]")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--e", type=int, required=True)
-    _add_common(s)
-
-    s = sp.add_parser("tau", help="test ideal tau(a^lambda)")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--lambda", dest="lam", required=True, metavar="NUM/DEN")
-    s.add_argument("--e", type=int, default=5, help="chain length cap")
-    _add_common(s)
-
-    s = sp.add_parser("fjump", help="F-jumping numbers on a rational grid")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--grid", type=int, required=True)
-    s.add_argument("--lambda", dest="lam", default="1", metavar="NUM/DEN",
-                   help="right end of the scanned interval")
-    s.add_argument("--e", type=int, default=5)
-    _add_common(s)
-
-    s = sp.add_parser("newton", help="Newton polyhedron report for a monomial ideal")
-    s.add_argument("--monomial", required=True, metavar="GENS")
-    _add_common(s)
-
-    s = sp.add_parser("asym", help="golden-ratio graded-sequence convergence table")
-    s.add_argument("--mmax", type=int, default=2048)
-    _add_common(s)
-
-    s = sp.add_parser("compare", help="char-0 vs char-p thresholds for a diagonal")
-    s.add_argument("--poly", required=True, help="diagonal polynomial over Q")
-    s.add_argument("--pmax", type=int, default=100)
-    s.add_argument("--e", type=int, default=3)
-    _add_common(s)
-
-    s = sp.add_parser("ordinary", help="ordinarity of a plane cubic over F_p")
-    s.add_argument("--poly", required=True)
-    s.add_argument("--p", type=int, required=True)
-    _add_common(s)
-
-    return ap
 
 
 # ----------------------------------------------------------------------
@@ -244,17 +176,63 @@ def _cmd_ordinary(args):
     return {"p": args.p, "ordinary": cone_fpt == 1, "cone_fpt": fmt_q(cone_fpt)}, True
 
 
+# ----------------------------------------------------------------------
+# The subcommand table: name -> (help, flags, body).  Each flag is a pair
+# (option string, add_argument keywords); build_parser adds --format and
+# --strict to every subcommand.
+# ----------------------------------------------------------------------
+
+_MONOMIAL = ("--monomial", {"required": True, "metavar": "GENS"})
+_POLY = ("--poly", {"required": True})
+_P = ("--p", {"type": int, "required": True})
+_LAMBDA = {"dest": "lam", "metavar": "NUM/DEN"}
+
 _COMMANDS = {
-    "lct": _cmd_lct,
-    "fpt": _cmd_fpt,
-    "nu": _cmd_nu,
-    "tau": _cmd_tau,
-    "fjump": _cmd_fjump,
-    "newton": _cmd_newton,
-    "asym": _cmd_asym,
-    "compare": _cmd_compare,
-    "ordinary": _cmd_ordinary,
+    "lct": ("log canonical threshold of a monomial ideal", [_MONOMIAL], _cmd_lct),
+    "fpt": ("F-pure threshold enclosure", [
+        _POLY, _P,
+        ("--e", {"type": int, "default": 3, "help": "largest Frobenius level used"}),
+    ], _cmd_fpt),
+    "nu": ("largest i with a^i outside m^[p^e]", [
+        _POLY, _P, ("--e", {"type": int, "required": True}),
+    ], _cmd_nu),
+    "tau": ("test ideal tau(a^lambda)", [
+        _POLY, _P, ("--lambda", {**_LAMBDA, "required": True}),
+        ("--e", {"type": int, "default": 5, "help": "chain length cap"}),
+    ], _cmd_tau),
+    "fjump": ("F-jumping numbers on a rational grid", [
+        _POLY, _P, ("--grid", {"type": int, "required": True}),
+        ("--lambda", {**_LAMBDA, "default": "1",
+                      "help": "right end of the scanned interval"}),
+        ("--e", {"type": int, "default": 5}),
+    ], _cmd_fjump),
+    "newton": ("Newton polyhedron report for a monomial ideal", [_MONOMIAL],
+               _cmd_newton),
+    "asym": ("golden-ratio graded-sequence convergence table", [
+        ("--mmax", {"type": int, "default": 2048}),
+    ], _cmd_asym),
+    "compare": ("char-0 vs char-p thresholds for a diagonal", [
+        ("--poly", {"required": True, "help": "diagonal polynomial over Q"}),
+        ("--pmax", {"type": int, "default": 100}),
+        ("--e", {"type": int, "default": 3}),
+    ], _cmd_compare),
+    "ordinary": ("ordinarity of a plane cubic over F_p", [_POLY, _P], _cmd_ordinary),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="thresholds",
+        description="Exact singularity thresholds: log canonical and F-pure.",
+    )
+    sp = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, _) in _COMMANDS.items():
+        sub = sp.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            sub.add_argument(flag, **kwargs)
+        sub.add_argument("--format", choices=("json", "text"), default="text")
+        sub.add_argument("--strict", action="store_true")
+    return ap
 
 
 def _render_text(report: dict, indent: int = 0) -> str:
@@ -281,7 +259,7 @@ def run(argv=None) -> int:
 
     try:
         budget(0)  # a malformed THRESHOLDS_BUDGET fails every subcommand
-        report, certified = _COMMANDS[args.command](args)
+        report, certified = _COMMANDS[args.command][2](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

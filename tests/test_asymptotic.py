@@ -97,6 +97,13 @@ def test_polyhedral_validation():
             seq.val_limit(v)  # unbounded below, or the wrong dimension
 
 
+
+def test_polyhedral_ideal_rejects_m_below_1():
+    seq = PolyhedralQ([(2, 1), (1, 3)], [2, 3])
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            seq.ideal(m)  # m = 0 would be the unit ideal; arn_asym divides by 0
+
 @st.composite
 def _region_and_weight(draw):
     """Q = {u >= 0 : C u >= b} in 1-3 variables with 1-4 nonzero rows C >= 0

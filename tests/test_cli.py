@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import re
@@ -12,7 +14,7 @@ import thresholds
 import thresholds.frobenius as frobenius
 import thresholds.grobner as grobner
 import thresholds.newton as newton
-from thresholds.cli import build_parser, fmt_q, run
+from thresholds.cli import _COMMANDS, build_parser, fmt_q, run
 from thresholds.rings import Ring, parse_polynomial, render_polynomial
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
@@ -213,6 +215,61 @@ def test_parser_rejects_unknown_command():
         build_parser().parse_args(["frobnicate"])
 
 
+_POLY = ("--poly", "poly", None, None, True)
+_P = ("--p", "p", int, None, True)
+_MONOMIAL = ("--monomial", "monomial", None, None, True)
+# (option, dest, type, default, required) of each subcommand's own flags
+_FLAGS = {
+    "lct": [_MONOMIAL],
+    "fpt": [_POLY, _P, ("--e", "e", int, 3, False)],
+    "nu": [_POLY, _P, ("--e", "e", int, None, True)],
+    "tau": [_POLY, _P, ("--lambda", "lam", None, None, True),
+            ("--e", "e", int, 5, False)],
+    "fjump": [_POLY, _P, ("--grid", "grid", int, None, True),
+              ("--lambda", "lam", None, "1", False), ("--e", "e", int, 5, False)],
+    "newton": [_MONOMIAL],
+    "asym": [("--mmax", "mmax", int, 2048, False)],
+    "compare": [_POLY, ("--pmax", "pmax", int, 100, False),
+                ("--e", "e", int, 3, False)],
+    "ordinary": [_POLY, _P],
+}
+
+
+def test_parser_is_built_from_the_command_table():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_COMMANDS) == list(_FLAGS)
+    e_default = {}
+    for name, parser in sub.choices.items():
+        actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+        fmt, strict = actions.pop("format"), actions.pop("strict")
+        assert tuple(fmt.choices) == ("json", "text") and fmt.default == "text"
+        assert isinstance(strict, argparse._StoreTrueAction)
+        assert [
+            (a.option_strings[0], a.dest, a.type, a.default, a.required)
+            for a in actions.values()
+        ] == _FLAGS[name]
+        if "e" in actions:
+            e_default[name] = actions["e"].default
+    # the parser keeps literals so that building it imports no library module
+    loaded = _modules_after("import thresholds.cli as c\nc.build_parser()")
+    assert {m for m in loaded if m.startswith("thresholds")} == {
+        "thresholds", "thresholds.cli"
+    }
+    from thresholds import redmodp, testideal
+
+    assert e_default["tau"] == e_default["fjump"] == testideal.DEFAULT_E_MAX
+    signature = inspect.signature(redmodp.compare_diagonal)
+    assert e_default["compare"] == signature.parameters["e_max"].default
+
+
+def test_readme_cli_example_names_each_subcommand_once():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    names = [line.split()[1] for line in block.splitlines()]
+    assert sorted(names) == sorted(_COMMANDS)
+
+
 def test_fpt_deep_level_encloses_cusp_threshold(capsys):
     rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3", "--p", "97", "--e", "4"])
     lo, hi = Fraction(rep["fpt"]["lo"]), Fraction(rep["fpt"]["hi"])
@@ -237,6 +294,11 @@ def test_tau_large_integer_lambda_exits_0(capsys):
     ["asym", "--mmax", "15"],
     ["fjump", "--poly", "x^2 + y^3", "--p", "5", "--grid", "4", "--lambda", "0"],
     ["compare", "--poly", "x^2+y^3", "--pmax", "7", "--e", "0"],
+    ["nu", "--poly", "x^2,,y^3", "--p", "3", "--e", "1"],  # an empty generator
+    ["fpt", "--poly", "x^2,,y^3", "--p", "3"],
+    ["tau", "--poly", "x^2,,y^3", "--p", "3", "--lambda", "1/2"],
+    ["fjump", "--poly", "x^2,,y^3", "--p", "3", "--grid", "2"],
+    ["ordinary", "--poly", "x^3 + y^3 + z^3,", "--p", "7"],
 ])
 def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv):
     assert run(argv) == 2
