@@ -30,9 +30,16 @@ def _interval_dict(r) -> dict:
     return {
         "lo": fmt_q(r.lo),
         "hi": fmt_q(r.hi),
-        "certified": r.certified,
+        "certified": r.is_exact,
         "method": r.method,
     }
+
+
+def _parse_lambda(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--lambda expects a rational NUM/DEN, got {text!r}") from None
 
 
 def _parse_gens(text: str, p: int) -> list:
@@ -40,7 +47,7 @@ def _parse_gens(text: str, p: int) -> list:
     from thresholds.rings import infer_ring, parse_polynomial
 
     pieces = [s.strip() for s in text.split(",")]
-    ring = infer_ring("+".join(pieces), "Fp", p)
+    ring = infer_ring("+".join(pieces), p)
     return [parse_polynomial(s, ring) for s in pieces]
 
 
@@ -59,7 +66,7 @@ def _cmd_fpt(args):
     from thresholds import frobenius
 
     enc = frobenius.fpt_enclosure(_parse_gens(args.poly, args.p), args.e)
-    return {"fpt": _interval_dict(enc), "p": args.p}, enc.certified
+    return {"fpt": _interval_dict(enc), "p": args.p}, enc.is_exact
 
 
 def _cmd_nu(args):
@@ -74,7 +81,7 @@ def _cmd_tau(args):
     from thresholds.rings import render_polynomial
 
     gens = _parse_gens(args.poly, args.p)
-    res = testideal.tau(gens, Fraction(args.lam), e_max=args.e)
+    res = testideal.tau(gens, _parse_lambda(args.lam), e_max=args.e)
     return {
         "lambda": fmt_q(res.lam),
         "p": args.p,
@@ -88,7 +95,7 @@ def _cmd_fjump(args):
     from thresholds import testideal
 
     gens = _parse_gens(args.poly, args.p)
-    rep = testideal.fjump_scan(gens, args.grid, Fraction(args.lam), e_max=args.e)
+    rep = testideal.fjump_scan(gens, args.grid, _parse_lambda(args.lam), e_max=args.e)
     return {
         "p": args.p,
         "grid": rep.grid,
@@ -152,18 +159,17 @@ def _cmd_compare(args):
     exps = _diagonal_exponents(args.poly)
     primes = [p for p in range(2, args.pmax + 1) if is_prime(p)]
     rows = redmodp.compare_diagonal(exps, primes, e_max=args.e)
-    out = []
-    ok = True
-    for r in rows:
-        ok = ok and (r.relation != redmodp.INCONCLUSIVE)
-        out.append({
-            "p": r.p,
-            "fpt": _interval_dict(r.fpt),
-            "lct0": fmt_q(r.lct0),
-            "relation": r.relation,
-            "residue": r.residue,
-        })
-    return {"rows": out}, ok
+    if not rows:
+        raise ValueError(f"--pmax {args.pmax} leaves no prime to compare "
+                         "(primes that divide an exponent are skipped)")
+    out = [{
+        "p": r.p,
+        "fpt": _interval_dict(r.fpt),
+        "lct0": fmt_q(r.lct0),
+        "relation": r.relation,
+        "residue": r.residue,
+    } for r in rows]
+    return {"rows": out}, all(r.relation != redmodp.INCONCLUSIVE for r in rows)
 
 
 def _cmd_ordinary(args):

@@ -116,7 +116,7 @@ def nu(a, e: int) -> int:
 
 
 def fpt_enclosure(a, e_max: int) -> ThresholdResult:
-    """Certified interval around the F-pure threshold from nu(e) data.
+    """Proved enclosure of the F-pure threshold from nu(e) data.
 
     Closed-form families short-circuit to exact values: monomial generator
     lists (threshold from the Newton polyhedron) and one-variable principal
@@ -158,7 +158,7 @@ def fpt_enclosure(a, e_max: int) -> ThresholdResult:
 
     lower = max(Fraction(nu_e, q), Fraction(1, ord_a))
     upper = min(upper, Fraction(n, ord_a))
-    return ThresholdResult(lower, upper, False, "nu-limit")
+    return ThresholdResult(lower, upper, "nu-limit")
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +171,7 @@ def is_ordinary_cubic(f: Polynomial) -> bool:
     Smoothness of the projective curve is the caller's responsibility; the
     test is meaningful only for cubics with an isolated singularity at 0.
     """
-    if f.ring.fieldtag != "Fp":
+    if f.ring.p is None:
         raise ValueError("cubic must live over F_p")
     if f.ring.nvars != 3:
         raise ValueError("cubic must have exactly 3 variables")

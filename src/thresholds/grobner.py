@@ -90,7 +90,7 @@ def _fp_generators(gens) -> list:
     if not gens:
         raise ValueError("need at least one nonzero generator")
     ring = gens[0].ring
-    if ring.fieldtag != "Fp":
+    if ring.p is None:
         raise ValueError("characteristic-p computations need an F_p ring")
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")

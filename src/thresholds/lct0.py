@@ -1,18 +1,19 @@
 """Characteristic-zero log canonical thresholds for closed-form families.
 
 Only the families with known closed forms are computed: diagonal forms,
-homogeneous polynomials with isolated singularity, nonsingular subschemes,
-monomial ideals (delegated to :mod:`thresholds.newton`), and plane nodes.
-Anything else raises :class:`UnsupportedFamilyError`; computing a general
-threshold would need a log resolution, which is out of scope.
+homogeneous polynomials with isolated singularity, and nonsingular
+subschemes.  A plane node is ``HomogeneousIsolated(2, 2)``, with threshold 1;
+monomial ideals go through :func:`thresholds.newton.lct_monomial`.  Anything
+else raises :class:`UnsupportedFamilyError`; computing a general threshold
+would need a log resolution, which is out of scope.
+
+This module imports no other ``thresholds`` module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from thresholds.newton import MonomialIdeal, lct_monomial
 
 
 class UnsupportedFamilyError(ValueError):
@@ -56,23 +57,12 @@ class SmoothSubscheme:
 
 
 @dataclass(frozen=True)
-class Monomial:
-    ideal: MonomialIdeal
-
-
-@dataclass(frozen=True)
-class Node:
-    """Plane curve with a node."""
-
-
-@dataclass(frozen=True)
 class ThresholdResult:
-    """Exact value or certified enclosing interval for a threshold."""
+    """Proved enclosure lo <= threshold <= hi; exact when lo == hi."""
 
     lo: Fraction
     hi: Fraction
-    certified: bool
-    method: str  # 'closed-form' | 'LP' | 'nu-limit' | 'asymptotic'
+    method: str  # 'closed-form' | 'LP' | 'nu-limit'
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -81,7 +71,7 @@ class ThresholdResult:
     @staticmethod
     def exact(value, method: str = "closed-form") -> "ThresholdResult":
         value = Fraction(value)
-        return ThresholdResult(value, value, True, method)
+        return ThresholdResult(value, value, method)
 
     @property
     def is_exact(self) -> bool:
@@ -109,10 +99,6 @@ def lct_closed_form(family) -> ThresholdResult:
         return ThresholdResult.exact(min(Fraction(1), Fraction(family.n, family.d)))
     if isinstance(family, SmoothSubscheme):
         return ThresholdResult.exact(Fraction(family.codim))
-    if isinstance(family, Node):
-        return ThresholdResult.exact(Fraction(1))
-    if isinstance(family, Monomial):
-        return ThresholdResult.exact(lct_monomial(family.ideal), "LP")
     raise UnsupportedFamilyError(f"no closed form for {family!r}")
 
 

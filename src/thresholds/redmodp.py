@@ -2,9 +2,10 @@
 
 For a polynomial with rational coefficients, the F-pure threshold of the
 reduction mod p never exceeds the characteristic-zero threshold, and the two
-agree for infinitely many p.  ``compare_at_prime`` produces one certified row
-of that comparison; ``compare_diagonal`` runs it across a prime range for
-diagonal polynomials, where equality has a clean congruence description.
+agree for infinitely many p.  ``compare_at_prime`` produces one row of that
+comparison from a proved enclosure of the F-pure threshold;
+``compare_diagonal`` runs it across a prime range for diagonal polynomials,
+where equality has a clean congruence description.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class BadReductionError(ValueError):
 
 def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
     """Coefficientwise reduction of a Q-polynomial to F_p."""
-    if f.ring.fieldtag == "Fp":
+    if f.ring.p is not None:
         raise ValueError("polynomial is already in characteristic p")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -49,13 +50,19 @@ class ComparisonRow:
     p: int
     fpt: ThresholdResult
     lct0: Fraction
-    relation: str  # EQUAL | FPT_LESS | INCONCLUSIVE
     residue: int | None = None  # p mod a_1*...*a_n in diagonal comparisons
+
+    @property
+    def relation(self) -> str:
+        """EQUAL | FPT_LESS | INCONCLUSIVE, read off the enclosure of fpt <= lct0."""
+        if self.fpt.lo == self.lct0:
+            return EQUAL
+        return FPT_LESS if self.fpt.hi < self.lct0 else INCONCLUSIVE
 
 
 def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
                      e_max: int) -> ComparisonRow:
-    """One comparison row: certified fpt data for f mod p against lct0.
+    """One comparison row: a proved enclosure of fpt(f mod p) against lct0.
 
     The row holds a nu-based enclosure of fpt(f mod p) for some level
     e <= e_max, intersected with the a-priori bound fpt <= lct0.
@@ -67,20 +74,13 @@ def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
     # grow e only until the relation is decided; the interval narrows as 1/p^e
     for e in range(1, e_max + 1):
         enc = fpt_enclosure(fp, e)
-        if enc.hi < lct0 or (enc.is_exact and enc.certified):
+        if enc.hi < lct0 or enc.is_exact:
             break
     if enc.lo > lct0:
         raise AssertionError(
             f"fpt lower bound {enc.lo} exceeds the char-0 threshold {lct0}"
         )
-    enc = ThresholdResult(enc.lo, min(enc.hi, lct0), enc.certified, enc.method)
-    if enc.is_exact and enc.lo == lct0 and enc.certified:
-        relation = EQUAL
-    elif enc.hi < lct0:
-        relation = FPT_LESS
-    else:
-        relation = INCONCLUSIVE
-    return ComparisonRow(p, enc, lct0, relation)
+    return ComparisonRow(p, replace(enc, hi=min(enc.hi, lct0)), lct0)
 
 
 def compare_diagonal(exponents, primes, *, e_max: int = 3) -> list:
@@ -108,7 +108,7 @@ def compare_diagonal(exponents, primes, *, e_max: int = 3) -> list:
         if any(a % p == 0 for a in fam.exponents):
             continue
         if p % modulus == 1:
-            row = ComparisonRow(p, ThresholdResult.exact(lct0), lct0, EQUAL)
+            row = ComparisonRow(p, ThresholdResult.exact(lct0), lct0)
         else:
             row = compare_at_prime(f, p, lct0, e_max=e_max)
         rows.append(replace(row, residue=p % modulus))

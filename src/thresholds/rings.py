@@ -2,9 +2,9 @@
 
 Terms are stored in a dict keyed by exponent tuples (one nonnegative integer
 per variable, arbitrary precision).  Coefficients are ``Fraction`` over Q and
-residues in ``[0, p)`` over F_p.  The coefficient field is
-part of the ring context; mixing ring contexts raises ``RingMismatchError``
-rather than coercing.
+residues in ``[0, p)`` over F_p.  The ring context's prime fixes the
+coefficient field (``p is None`` is Q); mixing ring contexts raises
+``RingMismatchError`` rather than coercing.
 
 Besides the ring arithmetic this module provides the characteristic-p
 primitives everything else is built on:
@@ -90,23 +90,17 @@ def _default_names(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class Ring:
-    """Ring context: variable count, coefficient field tag, optional prime."""
+    """Ring context: variable count, the prime p of F_p (None for Q), names."""
 
     nvars: int
-    fieldtag: str  # 'Q' | 'Fp'
     p: int | None = None
     names: tuple = field(default=())
 
     def __post_init__(self):
         if self.nvars < 1:
             raise ValueError("ring needs at least one variable")
-        if self.fieldtag not in ("Q", "Fp"):
-            raise ValueError(f"unknown coefficient field {self.fieldtag!r}")
-        if self.fieldtag == "Fp":
-            if self.p is None or not is_prime(self.p):
-                raise ValueError(f"F_p ring requires a prime, got {self.p!r}")
-        elif self.p is not None:
-            raise ValueError("characteristic-zero ring must not carry a prime")
+        if self.p is not None and not is_prime(self.p):
+            raise ValueError(f"F_p ring requires a prime, got {self.p!r}")
         if not self.names:
             object.__setattr__(self, "names", _default_names(self.nvars))
         if len(self.names) != self.nvars:
@@ -114,20 +108,22 @@ class Ring:
 
     @staticmethod
     def rationals(n: int, names: tuple = ()) -> "Ring":
-        return Ring(n, "Q", None, names)
+        return Ring(n, None, names)
 
     @staticmethod
     def prime_field(n: int, p: int, names: tuple = ()) -> "Ring":
-        return Ring(n, "Fp", p, names)
+        if p is None:
+            raise ValueError("F_p ring requires a prime, got None")
+        return Ring(n, p, names)
 
     def coeff(self, value):
         """Normalize a raw value into this ring's coefficient domain."""
-        if self.fieldtag == "Q":
+        if self.p is None:
             return Fraction(value)
         return int(value) % self.p
 
     def coeff_inv(self, value):
-        if self.fieldtag == "Q":
+        if self.p is None:
             return Fraction(1) / Fraction(value)
         return pow(int(value), self.p - 2, self.p)
 
@@ -287,7 +283,7 @@ def frobenius_decompose(h: Polynomial, e: int) -> dict:
     """
     if e <= 0:
         raise ValueError("e must be a positive integer")
-    if h.ring.fieldtag != "Fp":
+    if h.ring.p is None:
         raise ValueError("frobenius_decompose requires an F_p ring")
     q = h.ring.p**e
     components: dict = {}
@@ -357,7 +353,7 @@ def power_coefficients(f: Polynomial, k: int, ceiling: Exponent) -> dict:
     ceiling = tuple(ceiling)
     if len(ceiling) != ring.nvars:
         raise ValueError("exponent length mismatch")
-    p = ring.p if ring.fieldtag == "Fp" else None
+    p = ring.p
     # a fixed term order makes the walk independent of how f was built; the
     # zero polynomial walks as the single term 0*x^0, so 0^0 = 1
     items = sorted(f.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
@@ -561,7 +557,7 @@ class _Parser:
         if kind == "int":
             # allow rational literals a/b over Q
             kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/" and self.ring.fieldtag == "Q":
+            if kind2 == "op" and val2 == "/" and self.ring.p is None:
                 self.next()
                 kind3, den, pos3 = self.next()
                 if kind3 != "int" or den == 0:
@@ -598,12 +594,13 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
-def infer_ring(text: str, fieldtag: str = "Q", p: int | None = None) -> Ring:
-    """Build a ring from the variable names appearing in an expression."""
+def infer_ring(text: str, p: int | None = None) -> Ring:
+    """Build a ring from the variable names appearing in an expression, over
+    F_p for a prime p and over Q when p is None."""
     names = sorted(set(_NAME_RE.findall(text)), key=_name_sort_key)
     if not names:
         names = ["x"]
-    return Ring(len(names), fieldtag, p, tuple(names))
+    return Ring(len(names), p, tuple(names))
 
 
 def _name_sort_key(name: str):
@@ -625,20 +622,17 @@ def render_polynomial(f: Polynomial) -> str:
         return "0"
     pieces = []
     for exp in sorted(f.terms, key=grevlex_key, reverse=True):
-        c = f.terms[exp]
+        c = f.terms[exp]  # F_p residues are never negative
         mono = "*".join(
             name if e == 1 else f"{name}^{e}"
             for name, e in zip(f.ring.names, exp)
             if e != 0
         )
         if not mono:
-            body = _format_coeff(c if c > 0 or f.ring.fieldtag == "Fp" else -c)
-        elif c == 1:
-            body = mono
+            body = _format_coeff(abs(c))
         else:
-            mag = c if c > 0 or f.ring.fieldtag == "Fp" else -c
-            body = mono if mag == 1 else f"{_format_coeff(mag)}*{mono}"
-        negative = f.ring.fieldtag != "Fp" and c < 0
+            body = mono if abs(c) == 1 else f"{_format_coeff(abs(c))}*{mono}"
+        negative = c < 0
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:

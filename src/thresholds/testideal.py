@@ -238,13 +238,16 @@ class JumpingReport:
     ``jumps`` holds the grid values where the ideal strictly drops; a true
     jumping number in (prev, k/grid] is reported as k/grid, so locations
     are exact when they lie on the grid and otherwise rounded up by less
-    than 1/grid.
+    than ``resolution`` = 1/grid.
     """
 
     grid: int
     jumps: tuple
     certified: bool
-    resolution: Fraction
+
+    @property
+    def resolution(self) -> Fraction:
+        return Fraction(1, self.grid)
 
 
 def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX) -> JumpingReport:
@@ -267,4 +270,4 @@ def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX) -> JumpingRe
             jumps.append(Fraction(k, grid))
         prev_ideal = res.ideal
         k += 1
-    return JumpingReport(grid, tuple(jumps), certified, Fraction(1, grid))
+    return JumpingReport(grid, tuple(jumps), certified)

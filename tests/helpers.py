@@ -15,7 +15,7 @@ def exponents(nvars, max_exp=4):
 
 def polynomials(ring: Ring, max_terms=4, max_exp=4, max_coeff=7):
     """Random sparse polynomials over the given ring (possibly zero)."""
-    if ring.fieldtag == "Fp":
+    if ring.p is not None:
         coeffs = st.integers(1, ring.p - 1)
     else:
         coeffs = st.integers(-max_coeff, max_coeff).filter(bool)

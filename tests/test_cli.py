@@ -171,6 +171,13 @@ def test_strict_uncertified_exit_3(capsys):
     assert run(["lct", "--monomial", "x, y", "--strict"]) == 0
 
 
+def test_strict_accepts_a_point_enclosure(capsys):
+    argv = ["fpt", "--poly", "x^2 + y^3", "--p", "2", "--e", "3", "--strict"]
+    rep = _json(capsys, argv)
+    assert rep["fpt"]["lo"] == rep["fpt"]["hi"] == "1/2"
+    assert rep["fpt"]["certified"] is True
+
+
 def test_budget_env_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("THRESHOLDS_BUDGET", "1")
     assert run(["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "2"]) == 3
@@ -299,12 +306,31 @@ def test_tau_large_integer_lambda_exits_0(capsys):
     ["tau", "--poly", "x^2,,y^3", "--p", "3", "--lambda", "1/2"],
     ["fjump", "--poly", "x^2,,y^3", "--p", "3", "--grid", "2"],
     ["ordinary", "--poly", "x^3 + y^3 + z^3,", "--p", "7"],
+    ["compare", "--poly", "x^2+y^3", "--pmax", "1"],  # no prime left to compare
+    ["compare", "--poly", "x^2+y^3", "--pmax", "-1"],
+    ["compare", "--poly", "x^2 + y^4", "--pmax", "2"],  # 2 divides an exponent
 ])
 def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--poly", "x", "--p", "5", "--lambda", "1/0"],
+    ["fjump", "--poly", "x^2 + y^3", "--p", "5", "--grid", "4", "--lambda", "abc"],
+])
+def test_lambda_errors_name_the_flag(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--lambda" in err and argv[-1] in err
+
+
+def test_lambda_takes_what_fraction_takes(capsys):
+    rep = _json(capsys, ["tau", "--poly", "x", "--p", "5", "--lambda", "0.5"])
+    assert rep["lambda"] == "1/2"
 
 
 def test_deep_parentheses_exit_2_without_a_traceback():
@@ -362,11 +388,18 @@ def test_nu_loads_only_the_modules_it_runs():
         assert f"thresholds.{name}" not in loaded
 
 
+def test_lct0_imports_no_other_thresholds_module():
+    loaded = _modules_after("import thresholds.lct0")
+    assert {m for m in loaded if m.startswith("thresholds")} == {
+        "thresholds", "thresholds.lct0"
+    }
+
+
 def test_package_names_resolve_on_first_access():
     loaded = _modules_after(
         "from thresholds import Ring, MonomialIdeal, ThresholdResult, lct_monomial\n"
         "assert str(lct_monomial(MonomialIdeal.parse('x^2, y^3'))) == '5/6'\n"
-        "assert ThresholdResult.exact(1, 'LP').certified and Ring"
+        "assert ThresholdResult.exact(1, 'LP').is_exact and Ring"
     )
     assert "thresholds.lct0" in loaded
     with pytest.raises(AttributeError):

@@ -254,7 +254,7 @@ def test_fpt_enclosure_interval_bounds():
     res = fpt_enclosure([f], 2)
     assert res.contains(Fraction(5, 6))
     assert Fraction(1, 2) <= res.lo <= res.hi <= Fraction(2, 2)
-    assert not res.certified
+    assert not res.is_exact
 
 
 def test_fpt_enclosure_multigenerator():

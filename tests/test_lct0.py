@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from thresholds.lct0 import (
     Diagonal,
     HomogeneousIsolated,
-    Monomial,
-    Node,
     SmoothSubscheme,
     ThresholdResult,
     UnsupportedFamilyError,
@@ -35,14 +33,7 @@ def test_homogeneous_isolated():
 
 def test_smooth_subscheme_and_node():
     assert lct_closed_form(SmoothSubscheme(2)).value == 2
-    assert lct_closed_form(Node()).value == 1
-
-
-def test_monomial_family_delegates():
-    ideal = MonomialIdeal.parse("x^2, y^3")
-    res = lct_closed_form(Monomial(ideal))
-    assert res.value == lct_monomial(ideal)
-    assert res.method == "LP"
+    assert lct_closed_form(HomogeneousIsolated(2, 2)).value == 1  # a node
 
 
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=4))
@@ -82,17 +73,17 @@ def test_general_combination_clamps():
     assert lct_general_combination(Fraction(3)) == 1
     # an improper ideal has no threshold to clamp: its lct raises instead
     with pytest.raises(ValueError, match="infinite"):
-        lct_closed_form(Monomial(MonomialIdeal(2, [(0, 0)])))
+        lct_monomial(MonomialIdeal(2, [(0, 0)]))
 
 
 def test_threshold_result_invariants():
-    r = ThresholdResult(Fraction(1, 3), Fraction(1, 2), False, "nu-limit")
+    r = ThresholdResult(Fraction(1, 3), Fraction(1, 2), "nu-limit")
     assert not r.is_exact
     assert r.contains(Fraction(2, 5))
     assert r.width() == Fraction(1, 6)
     with pytest.raises(ValueError):
         r.value
     with pytest.raises(ValueError):
-        ThresholdResult(Fraction(1), Fraction(0), True, "closed-form")
+        ThresholdResult(Fraction(1), Fraction(0), "closed-form")
     exact = ThresholdResult.exact(Fraction(5, 6))
     assert exact.is_exact and exact.value == Fraction(5, 6)

@@ -28,8 +28,13 @@ def test_ring_constructors_and_names():
     assert QQ2.names == ("x", "y")
     assert Ring.rationals(3).names == ("x", "y", "z")
     assert Ring.rationals(4).names == ("x1", "x2", "x3", "x4")
+    assert QQ2.p is None and F5.p == 5  # the prime is the coefficient field
     with pytest.raises(ValueError):
         Ring.prime_field(2, 6)
+    with pytest.raises(ValueError):
+        Ring.prime_field(2, None)
+    with pytest.raises(ValueError):
+        Ring(2, 4)  # a ring's field is its prime, and 4 is not one
 
 
 def test_coeff_normalization():
