@@ -12,6 +12,7 @@ last degree with a product left.  Products of monomials are points of the box
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from thresholds.grobner import PolyIdeal
 from thresholds.lct0 import ThresholdResult
@@ -165,11 +166,62 @@ def fpt_enclosure(a, e_max: int) -> ThresholdResult:
 # Cones over plane cubics
 # ----------------------------------------------------------------------
 
+def _forms(d: int) -> list:
+    """The exponents of the monomials of degree d in three variables."""
+    return [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+
+
+def _rank_mod_p(rows: list, p: int) -> int:
+    """Rank over F_p of a matrix given as a list of rows (lists of residues)."""
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = pow(top[col], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                m = rows[r][col] * inv % p
+                rows[r] = [(a - m * b) % p for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
+def is_smooth_cubic(f: Polynomial) -> bool:
+    """Whether the plane cubic f = 0 over F_p is smooth (over the algebraic
+    closure), by the rank of the degree-4 Macaulay matrix of
+    J = (f, df/dx, df/dy, df/dz).
+
+    Its rows are the multiples of each partial by the six quadratic
+    monomials and of f by the three linear ones, its 15 columns the quartic
+    monomials.  Full rank puts every quartic in J, so J is m-primary and the
+    curve is smooth, for every p.  For p != 3 the converse holds: Euler's
+    identity 3f = x f_x + y f_y + z f_z puts f in (f_x, f_y, f_z); three
+    quadrics with no common zero form a regular sequence, whose ideal
+    contains every quartic, and an ideal with a common zero contains no
+    power of m.  For p = 3 the converse was checked against a Groebner
+    basis test on every nonzero cubic form over F_3.
+    """
+    p = f.ring.p
+    col = {exp: i for i, exp in enumerate(_forms(4))}
+    rows = []
+    parts = [(f.derivative(i), _forms(2)) for i in range(3)] + [(f, _forms(1))]
+    for g, shifts in parts:
+        for s in shifts:
+            row = [0] * len(col)
+            for exp, c in g.terms.items():
+                row[col[tuple(map(add, exp, s))]] = c
+            rows.append(row)
+    return _rank_mod_p(rows, p) == len(col)
+
+
 def is_ordinary_cubic(f: Polynomial) -> bool:
     """Ordinarity of the plane cubic: coefficient of (xyz)^{p-1} in f^{p-1}.
 
-    Smoothness of the projective curve is the caller's responsibility; the
-    test is meaningful only for cubics with an isolated singularity at 0.
+    The curve must be smooth (:func:`is_smooth_cubic`); a singular cubic
+    raises ``ValueError``.
     """
     if f.ring.p is None:
         raise ValueError("cubic must live over F_p")
@@ -178,6 +230,9 @@ def is_ordinary_cubic(f: Polynomial) -> bool:
     if f.is_zero() or any(sum(exp) != 3 for exp in f.terms):
         raise ValueError("polynomial is not homogeneous of degree 3")
     p = f.ring.p
+    if not is_smooth_cubic(f):
+        raise ValueError(f"the cubic curve is singular over F_{p}; "
+                         "ordinarity needs a smooth plane cubic")
     c = monomial_coefficient(f, p - 1, (p - 1, p - 1, p - 1))
     return c != 0
 

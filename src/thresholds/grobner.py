@@ -14,6 +14,8 @@ checked and classified (monomial or not) here and nowhere else.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from thresholds.newton import MonomialIdeal, minimal_points
 from thresholds.rings import (
     BudgetExceededError,
@@ -27,9 +29,17 @@ from thresholds.rings import (
 DEFAULT_PAIR_BUDGET = 10**5
 
 
+def _top(terms):
+    """The grevlex-largest exponent of a term dict: the largest total degree
+    first, ``grevlex_key`` only to break a tie within it."""
+    top = max(map(sum, terms))
+    tied = [exp for exp in terms if sum(exp) == top]
+    return tied[0] if len(tied) == 1 else max(tied, key=grevlex_key)
+
+
 def _leading(f: Polynomial):
     """(exponent, coefficient) of the grevlex-leading term."""
-    exp = max(f.terms, key=grevlex_key)
+    exp = _top(f.terms)
     return exp, f.terms[exp]
 
 
@@ -38,33 +48,41 @@ def _divides(a, b) -> bool:
 
 
 def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+def _shifted(terms: dict, shift, c, p: int) -> dict:
+    """The terms of c * x^shift * g, where ``terms`` are those of g over F_p."""
+    return {tuple(map(add, exp, shift)): c * v % p for exp, v in terms.items()}
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Remainder of f on division by the basis (full reduction)."""
+    """Remainder of f on division by the basis (full reduction) over F_p.
+
+    Each step subtracts the scaled, shifted basis element from the work
+    terms in place; no intermediate polynomial is built.
+    """
     ring = f.ring
+    p = ring.p
     remainder: dict = {}
     work = dict(f.terms)
-    leads = [(_leading(g)[0], _leading(g)[1], g) for g in basis]
+    leads = [(*_leading(g), g.terms) for g in basis]
     while work:
-        exp = max(work, key=grevlex_key)
+        exp = _top(work)
         coeff = work.pop(exp)
-        for lexp, lc, g in leads:
+        for lexp, lc, gterms in leads:
             if _divides(lexp, exp):
-                factor = Polynomial.monomial(
-                    ring,
-                    tuple(a - b for a, b in zip(exp, lexp)),
-                    ring.coeff(coeff * ring.coeff_inv(lc)),
-                )
-                for e2, c2 in (factor * g).terms.items():
-                    if e2 == exp:
+                shift = tuple(map(sub, exp, lexp))
+                c = coeff * pow(lc, p - 2, p) % p
+                for e2, c2 in gterms.items():
+                    if e2 == lexp:
                         continue
-                    c = ring.coeff(work.get(e2, 0) - c2)
-                    if c == 0:
-                        work.pop(e2, None)
+                    e2 = tuple(map(add, e2, shift))
+                    v = (work.get(e2, 0) - c * c2) % p
+                    if v:
+                        work[e2] = v
                     else:
-                        work[e2] = c
+                        work.pop(e2, None)
                 break
         else:
             remainder[exp] = coeff
@@ -72,16 +90,14 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def _s_poly(f: Polynomial, g: Polynomial) -> Polynomial:
-    ring = f.ring
+    p = f.ring.p
     (fe, fc), (ge, gc) = _leading(f), _leading(g)
     lcm = _lcm(fe, ge)
-    mf = Polynomial.monomial(
-        ring, tuple(a - b for a, b in zip(lcm, fe)), ring.coeff_inv(fc)
-    )
-    mg = Polynomial.monomial(
-        ring, tuple(a - b for a, b in zip(lcm, ge)), ring.coeff_inv(gc)
-    )
-    return mf * f - mg * g
+    out = _shifted(f.terms, tuple(map(sub, lcm, fe)), pow(fc, p - 2, p), p)
+    for exp, c in _shifted(g.terms, tuple(map(sub, lcm, ge)),
+                           pow(gc, p - 2, p), p).items():
+        out[exp] = out.get(exp, 0) - c
+    return Polynomial(f.ring, out)
 
 
 def _fp_generators(gens) -> list:
@@ -101,6 +117,7 @@ def groebner_basis(gens) -> tuple:
     """Reduced grevlex Groebner basis, monic, sorted by leading term."""
     basis = _fp_generators(gens)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    pending = set(pairs)  # the pairs still in the list, each (larger, smaller)
     processed, limit = 0, budget(DEFAULT_PAIR_BUDGET)
     while pairs:
         # prefer the pair with the grevlex-smallest lcm (normal selection)
@@ -111,6 +128,7 @@ def groebner_basis(gens) -> tuple:
             reverse=True,
         )
         i, j = pairs.pop()
+        pending.discard((i, j))
         processed += 1
         if processed > limit:
             raise BudgetExceededError("S-pair budget exceeded")
@@ -118,24 +136,28 @@ def groebner_basis(gens) -> tuple:
         lcm = _lcm(fe, ge)
         if lcm == tuple(a + b for a, b in zip(fe, ge)):
             continue  # coprime leading terms: S-poly reduces to zero
-        if _chain_criterion(basis, pairs, i, j, lcm):
+        if _chain_criterion(basis, pending, i, j, lcm):
             continue
         r = normal_form(_s_poly(basis[i], basis[j]), basis)
         if not r.is_zero():
             basis.append(r)
             k = len(basis) - 1
-            pairs.extend((k, t) for t in range(k))
+            new = [(k, t) for t in range(k)]
+            pairs.extend(new)
+            pending.update(new)
     return _reduce_basis(basis)
 
 
-def _chain_criterion(basis, pairs, i, j, lcm) -> bool:
-    pairset = {frozenset(p) for p in pairs}
+def _chain_criterion(basis, pending, i, j, lcm) -> bool:
+    """Whether some other k has a leading term dividing lcm while neither
+    pair (i, k) nor (j, k) is still pending."""
     for k in range(len(basis)):
         if k in (i, j):
             continue
         if not _divides(_leading(basis[k])[0], lcm):
             continue
-        if frozenset((i, k)) not in pairset and frozenset((j, k)) not in pairset:
+        if ((max(i, k), min(i, k)) not in pending
+                and (max(j, k), min(j, k)) not in pending):
             return True
     return False
 

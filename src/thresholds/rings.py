@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from operator import add, le
+from operator import add, le, neg
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
@@ -130,7 +130,7 @@ class Ring:
 
 def grevlex_key(exp: Exponent):
     """Sort key realizing graded reverse lexicographic order (larger = bigger)."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
 class Polynomial:
@@ -233,14 +233,14 @@ class Polynomial:
         limit = budget(DEFAULT_TERM_BUDGET)
         out = {}
         a, b = self.terms, other.terms
+        if len(a) * len(b) > limit:
+            raise BudgetExceededError(f"product exceeds term budget {limit}")
         if len(a) > len(b):
             a, b = b, a
         for ea, ca in a.items():
             for eb, cb in b.items():
                 exp = tuple(i + j for i, j in zip(ea, eb))
                 out[exp] = out.get(exp, 0) + ca * cb
-            if len(out) > limit:
-                raise BudgetExceededError(f"product exceeds term budget {limit}")
         return Polynomial(self.ring, out)
 
     def scale(self, value) -> "Polynomial":
@@ -262,6 +262,16 @@ class Polynomial:
             if k:
                 base = base.mul(base)
         return Polynomial.one(self.ring) if result is None else result
+
+    def derivative(self, index: int) -> "Polynomial":
+        """Partial derivative in the variable of position ``index``."""
+        out = {}
+        for exp, c in self.terms.items():
+            if exp[index]:
+                shifted = list(exp)
+                shifted[index] -= 1
+                out[tuple(shifted)] = c * exp[index]
+        return Polynomial(self.ring, out)
 
     def coefficient(self, exp: Exponent):
         return self.terms.get(tuple(exp), self.ring.coeff(0))

@@ -8,10 +8,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, gcd
 
-from thresholds.grobner import PolyIdeal
+from thresholds.grobner import PolyIdeal, _divides, _fp_generators
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
+from thresholds import grobner
 from thresholds.newton import MonomialIdeal, minimal_points
-from thresholds.rings import Polynomial, Ring
+from thresholds.rings import BudgetExceededError, Polynomial, Ring, budget
 
 
 def contains_point(a: MonomialIdeal, q) -> bool:
@@ -329,3 +330,142 @@ def extreme_rays_reference(rows, d: int) -> set:
             if min(values) >= 0:
                 out.add((ray, sum(1 << i for i, v in enumerate(values) if not v)))
     return out
+
+
+# ----------------------------------------------------------------------
+# Buchberger as it stood before its kernels were made single passes: every
+# leading term a max over grevlex_key, one-term multiples built by
+# Polynomial.mul, the chain criterion rebuilding the set of pending pairs.
+# ----------------------------------------------------------------------
+
+def grevlex_key_reference(exp):
+    """Sort key realizing graded reverse lexicographic order (larger = bigger)."""
+    return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def _leading_reference(f: Polynomial):
+    exp = max(f.terms, key=grevlex_key_reference)
+    return exp, f.terms[exp]
+
+
+def _lcm_reference(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def normal_form_reference(f: Polynomial, basis) -> Polynomial:
+    """Remainder of f on division by the basis (full reduction)."""
+    ring = f.ring
+    remainder: dict = {}
+    work = dict(f.terms)
+    leads = [(_leading_reference(g)[0], _leading_reference(g)[1], g) for g in basis]
+    while work:
+        exp = max(work, key=grevlex_key_reference)
+        coeff = work.pop(exp)
+        for lexp, lc, g in leads:
+            if _divides(lexp, exp):
+                factor = Polynomial.monomial(
+                    ring,
+                    tuple(a - b for a, b in zip(exp, lexp)),
+                    ring.coeff(coeff * ring.coeff_inv(lc)),
+                )
+                for e2, c2 in (factor * g).terms.items():
+                    if e2 == exp:
+                        continue
+                    c = ring.coeff(work.get(e2, 0) - c2)
+                    if c == 0:
+                        work.pop(e2, None)
+                    else:
+                        work[e2] = c
+                break
+        else:
+            remainder[exp] = coeff
+    return Polynomial(ring, remainder)
+
+
+def _s_poly_reference(f: Polynomial, g: Polynomial) -> Polynomial:
+    ring = f.ring
+    (fe, fc), (ge, gc) = _leading_reference(f), _leading_reference(g)
+    lcm = _lcm_reference(fe, ge)
+    mf = Polynomial.monomial(
+        ring, tuple(a - b for a, b in zip(lcm, fe)), ring.coeff_inv(fc)
+    )
+    mg = Polynomial.monomial(
+        ring, tuple(a - b for a, b in zip(lcm, ge)), ring.coeff_inv(gc)
+    )
+    return mf * f - mg * g
+
+
+def groebner_basis_reference(gens) -> tuple:
+    """Reduced grevlex Groebner basis, monic, sorted by leading term."""
+    basis = _fp_generators(gens)
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    processed, limit = 0, budget(grobner.DEFAULT_PAIR_BUDGET)
+    while pairs:
+        # prefer the pair with the grevlex-smallest lcm (normal selection)
+        pairs.sort(
+            key=lambda ij: grevlex_key_reference(
+                _lcm_reference(_leading_reference(basis[ij[0]])[0],
+                               _leading_reference(basis[ij[1]])[0])
+            ),
+            reverse=True,
+        )
+        i, j = pairs.pop()
+        processed += 1
+        if processed > limit:
+            raise BudgetExceededError("S-pair budget exceeded")
+        fe, ge = _leading_reference(basis[i])[0], _leading_reference(basis[j])[0]
+        lcm = _lcm_reference(fe, ge)
+        if lcm == tuple(a + b for a, b in zip(fe, ge)):
+            continue  # coprime leading terms: S-poly reduces to zero
+        if _chain_criterion_reference(basis, pairs, i, j, lcm):
+            continue
+        r = normal_form_reference(_s_poly_reference(basis[i], basis[j]), basis)
+        if not r.is_zero():
+            basis.append(r)
+            k = len(basis) - 1
+            pairs.extend((k, t) for t in range(k))
+    return _reduce_basis_reference(basis)
+
+
+def _chain_criterion_reference(basis, pairs, i, j, lcm) -> bool:
+    pairset = {frozenset(p) for p in pairs}
+    for k in range(len(basis)):
+        if k in (i, j):
+            continue
+        if not _divides(_leading_reference(basis[k])[0], lcm):
+            continue
+        if frozenset((i, k)) not in pairset and frozenset((j, k)) not in pairset:
+            return True
+    return False
+
+
+def _reduce_basis_reference(basis) -> tuple:
+    ring = basis[0].ring
+    # keep the first member with each minimal leading term
+    first: dict = {}
+    for g in basis:
+        first.setdefault(_leading_reference(g)[0], g)
+    keep = [first[lead] for lead in minimal_points(first)]
+    # fully reduce each survivor against the others and make it monic
+    out = []
+    for i, g in enumerate(keep):
+        others = keep[:i] + keep[i + 1 :]
+        r = normal_form_reference(g, others) if others else g
+        lc = _leading_reference(r)[1]
+        out.append(r.scale(ring.coeff_inv(lc)))
+    out.sort(key=lambda g: grevlex_key_reference(_leading_reference(g)[0]))
+    return tuple(out)
+
+
+def is_smooth_cubic_reference(f: Polynomial) -> bool:
+    """Whether the plane cubic f = 0 is smooth, by Groebner bases: J = (f,
+    f_x, f_y, f_z) is m-primary iff the leading terms of its reduced basis
+    include a pure power of every variable (J is homogeneous, so a finite
+    zero set is the origin alone)."""
+    gens = [f]
+    for i in range(3):
+        gens.append(Polynomial(f.ring, {
+            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i]
+            for exp, c in f.terms.items() if exp[i]}))
+    leads = [_leading_reference(g)[0] for g in groebner_basis_reference(gens)]
+    return all(any(lead[i] == sum(lead) for lead in leads) for i in range(3))

@@ -23,6 +23,10 @@ SMOKE_JOBS = [
     ("monomial",
      ["tau", "--poly", "y, y^3, x^3*y, x^5", "--p", "2", "--lambda", "2/3"]),
     ("monomial", ["newton", "--monomial", "w^3, z^6, y^2, x^4*y^3*z^2*w^4, x^5"]),
+    ("ideal", ["tau", "--poly", "z^3 + x^2*y, z^3 + y^3 + x^2*y", "--p", "2",
+               "--lambda", "3/4", "--e", "2"]),
+    ("ideal", ["fjump", "--poly", "y^3 + x^2*y + x^3, y^3 + x^2", "--p", "3",
+               "--grid", "3", "--e", "1"]),
 ]
 
 

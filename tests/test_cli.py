@@ -130,6 +130,14 @@ def test_ordinary_command(capsys, monkeypatch):
     assert rep["ordinary"] is False and rep["cone_fpt"] == "4/5"
 
 
+def test_ordinary_rejects_a_singular_cubic(capsys):
+    # over F_3 the Fermat cubic is (x + y + z)^3: its fpt is 1/3, and the
+    # cone formula's 2/3 would be wrong
+    assert run(["ordinary", "--poly", "x^3+y^3+z^3", "--p", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "singular" in captured.err
+
+
 def test_json_output_deterministic(capsys):
     argv = ["compare", "--poly", "x^2 + y^3", "--pmax", "40", "--format", "json"]
     assert run(argv) == 0
@@ -331,6 +339,19 @@ def test_lambda_errors_name_the_flag(capsys, argv):
 def test_lambda_takes_what_fraction_takes(capsys):
     rep = _json(capsys, ["tau", "--poly", "x", "--p", "5", "--lambda", "0.5"])
     assert rep["lambda"] == "1/2"
+
+
+def test_huge_lambda_exits_3_on_the_term_budget():
+    # Skoda forms f^(10^6); the product budget refuses it before multiplying
+    src = str(Path(thresholds.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "thresholds.cli", "tau", "--poly", "x^2+y^3",
+         "--p", "5", "--lambda", "1e6"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=30,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: product exceeds term budget")
 
 
 def test_deep_parentheses_exit_2_without_a_traceback():

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import nonzero_polynomials
-from oracles import in_frobenius_power
+from oracles import in_frobenius_power, is_smooth_cubic_reference
 from thresholds import frobenius
 from thresholds.frobenius import (
     fpt_cubic_cone,
     fpt_enclosure,
     is_ordinary_cubic,
+    is_smooth_cubic,
     nu,
 )
 from thresholds.grobner import ideal_power
@@ -278,6 +279,47 @@ def test_fermat_cubic_ordinarity():
         f = parse_polynomial("x^3+y^3+z^3", ring)
         assert is_ordinary_cubic(f) == expected
         assert fpt_cubic_cone(f) == (1 if expected else Fraction(p - 1, p))
+
+
+@pytest.mark.parametrize("text,p,smooth", [
+    ("x^3+y^3+z^3", 2, True),
+    ("x^3+y^3+z^3", 7, True),
+    ("x^3+y^3+z^3+x*y*z", 5, True),
+    ("y^2*z - x^3 - x*z^2", 7, True),
+    ("x^3+y^3+z^3", 3, False),  # (x + y + z)^3 over F_3
+    ("y^2*z - x^3", 5, False),  # cuspidal
+    ("x*y*z", 7, False),  # three lines
+    ("x^3+y^3+z^3-3*x*y*z", 7, False),  # three concurrent lines
+])
+def test_smooth_cubic_examples(text, p, smooth):
+    f = parse_polynomial(text, Ring.prime_field(3, p))
+    assert is_smooth_cubic(f) == is_smooth_cubic_reference(f) == smooth
+    if not smooth:
+        with pytest.raises(ValueError, match="singular"):
+            is_ordinary_cubic(f)
+
+
+_CUBIC_MONOMIALS = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+
+
+@st.composite
+def _cubics(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=10, max_size=10)
+                  .filter(any))
+    return Polynomial(Ring.prime_field(3, p), dict(zip(_CUBIC_MONOMIALS, coeffs)))
+
+
+@given(_cubics())
+def test_smooth_cubic_rank_test_matches_groebner(f):
+    smooth = is_smooth_cubic(f)
+    assert smooth == is_smooth_cubic_reference(f)
+    if smooth:
+        enclosure = fpt_enclosure(f, 3)
+        assert enclosure.lo <= fpt_cubic_cone(f) <= enclosure.hi
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            is_ordinary_cubic(f)
 
 
 def test_non_fermat_cubic():

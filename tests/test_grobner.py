@@ -1,12 +1,20 @@
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import oracles
 from helpers import ideal_members, nonzero_polynomials, polynomials
-from thresholds import frobenius
+from oracles import (
+    grevlex_key_reference,
+    groebner_basis_reference,
+    normal_form_reference,
+)
+from thresholds import frobenius, grobner
 from thresholds.grobner import (
     PolyIdeal,
+    _leading,
     groebner_basis,
     ideal_power,
     normal_form,
@@ -49,7 +57,7 @@ def test_normal_form_idempotent(f):
 
 def test_groebner_basis_is_reduced_and_monic():
     gb = groebner_basis([P("x^2 + y^2"), P("x*y + x")])
-    from thresholds.grobner import _divides, _leading
+    from thresholds.grobner import _divides
 
     leads = [_leading(g)[0] for g in gb]
     for i, g in enumerate(gb):
@@ -218,3 +226,58 @@ def test_groebner_contains_products(f, g):
     I = PolyIdeal([f, g])
     assert I.member(f * g)
     assert I.member(f + g)
+
+
+@st.composite
+def _small_ideals(draw):
+    """1-4 generators of up to 4 terms in 2-3 variables over F_2 ... F_7,
+    and a polynomial to reduce."""
+    ring = Ring.prime_field(draw(st.integers(2, 3)),
+                            draw(st.sampled_from([2, 3, 5, 7])))
+    gens = draw(st.lists(nonzero_polynomials(ring, max_terms=4, max_exp=3),
+                         min_size=1, max_size=4))
+    return gens, draw(polynomials(ring, max_terms=5, max_exp=4))
+
+
+def _counting(fn, calls):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
+@given(_small_ideals())
+def test_groebner_kernels_match_the_reference(case):
+    # a reduced basis is unique, so the two Buchbergers agree exactly; the
+    # loop takes the same steps, so each makes as many normal_form calls
+    gens, f = case
+    ours, theirs = [], []
+    with mock.patch.object(grobner, "normal_form",
+                           _counting(grobner.normal_form, ours)):
+        basis = groebner_basis(gens)
+    with mock.patch.object(oracles, "normal_form_reference",
+                           _counting(oracles.normal_form_reference, theirs)):
+        assert groebner_basis_reference(gens) == basis
+    assert len(ours) == len(theirs)
+    assert normal_form(f, basis) == normal_form_reference(f, basis)
+    assert normal_form(f, gens) == normal_form_reference(f, gens)
+
+
+@example(P("x^3 + x*y^2 + y^3 + x^2*y + x + y + 1"))
+@given(nonzero_polynomials(Ring.prime_field(3, 5), max_terms=12, max_exp=3))
+def test_leading_term_is_the_grevlex_maximum(f):
+    lead = max(f.terms, key=grevlex_key_reference)
+    assert _leading(f) == (lead, f.terms[lead])
+    for exp in f.terms:
+        assert grobner.grevlex_key(exp) == grevlex_key_reference(exp)
+
+
+def test_normal_form_multiplies_no_polynomials(monkeypatch):
+    basis = groebner_basis([P("x^2 - y"), P("x*y - 1")])
+    f = P("x^5*y^2 + 3*x*y^4 - y")
+    expected = normal_form_reference(f, basis)
+    assert expected != f
+    calls = []
+    monkeypatch.setattr(Polynomial, "mul", _counting(Polynomial.mul, calls))
+    assert normal_form(f, basis) == expected
+    assert calls == []

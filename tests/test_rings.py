@@ -187,6 +187,30 @@ def test_pow_multiplies_from_the_first_set_bit(monkeypatch):
     assert len(calls) == 4 + 2  # 4 squarings, 2 set bits after the first
 
 
+def test_mul_budget_counts_term_pairs(monkeypatch):
+    # (1 + x)(1 - x) = 1 - x^2 multiplies 4 term pairs into 2 terms
+    f, g = parse_polynomial("1 + x", F5), parse_polynomial("1 - x", F5)
+    product = parse_polynomial("1 - x^2", F5)
+    monkeypatch.setenv("THRESHOLDS_BUDGET", "4")
+    assert f * g == product
+    monkeypatch.setenv("THRESHOLDS_BUDGET", "3")
+    with pytest.raises(BudgetExceededError):
+        f * g
+
+
+@given(polynomials(F5), polynomials(F5), st.integers(0, 1))
+def test_derivative_obeys_leibniz(f, g, i):
+    assert (f * g).derivative(i) == f.derivative(i) * g + f * g.derivative(i)
+
+
+def test_derivative_examples():
+    f = parse_polynomial("x^3 + 2*x*y^2 + y", Ring.rationals(2))
+    assert f.derivative(0) == parse_polynomial("3*x^2 + 2*y^2", Ring.rationals(2))
+    assert f.derivative(1) == parse_polynomial("4*x*y + 1", Ring.rationals(2))
+    cube = parse_polynomial("x^3 + y^3 + z^3", Ring.prime_field(3, 3))
+    assert all(cube.derivative(i).is_zero() for i in range(3))  # 3 = 0 in F_3
+
+
 def test_ring_mismatch_rejected():
     f = parse_polynomial("x", QQ2)
     g = parse_polynomial("x", F5)
