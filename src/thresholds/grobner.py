@@ -1,9 +1,12 @@
 """Groebner bases over F_p in graded reverse lexicographic order.
 
-Buchberger's algorithm with the coprimality and chain criteria, followed by
-reduction to the unique reduced basis, so ideal equality is a tuple
-comparison.  Ideals generated by monomials skip all of this: a ``PolyIdeal``
-of single-term generators stores its minimal monomial generators
+Buchberger's algorithm, followed by reduction to the unique reduced basis, so
+ideal equality is a tuple comparison.  The product criterion applies where a
+pair is formed (a pair with coprime leading terms never enters the pair
+list) and the chain criterion where a pair is taken from it.
+
+Ideals generated by monomials skip all of this: a ``PolyIdeal`` of
+single-term generators stores its minimal monomial generators
 (:class:`thresholds.newton.MonomialIdeal`), which are its reduced basis, so
 containment is plain divisibility and equality compares exponent tuples.
 
@@ -26,6 +29,7 @@ from thresholds.rings import (
     product_sweep,
 )
 
+# pairs taken from the pair list of one basis; coprime pairs never get there
 DEFAULT_PAIR_BUDGET = 10**5
 
 
@@ -116,8 +120,9 @@ def _fp_generators(gens) -> list:
 def groebner_basis(gens) -> tuple:
     """Reduced grevlex Groebner basis, monic, sorted by leading term."""
     basis = _fp_generators(gens)
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    pending = set(pairs)  # the pairs still in the list, each (larger, smaller)
+    pairs = [pair for k in range(len(basis)) for pair in _pairs_with(basis, k)]
+    # the pairs still in the list, each (larger, smaller); all others are treated
+    pending = set(pairs)
     processed, limit = 0, budget(DEFAULT_PAIR_BUDGET)
     while pairs:
         # prefer the pair with the grevlex-smallest lcm (normal selection)
@@ -132,20 +137,27 @@ def groebner_basis(gens) -> tuple:
         processed += 1
         if processed > limit:
             raise BudgetExceededError("S-pair budget exceeded")
-        fe, ge = _leading(basis[i])[0], _leading(basis[j])[0]
-        lcm = _lcm(fe, ge)
-        if lcm == tuple(a + b for a, b in zip(fe, ge)):
-            continue  # coprime leading terms: S-poly reduces to zero
+        lcm = _lcm(_leading(basis[i])[0], _leading(basis[j])[0])
         if _chain_criterion(basis, pending, i, j, lcm):
             continue
         r = normal_form(_s_poly(basis[i], basis[j]), basis)
         if not r.is_zero():
             basis.append(r)
-            k = len(basis) - 1
-            new = [(k, t) for t in range(k)]
+            new = _pairs_with(basis, len(basis) - 1)
             pairs.extend(new)
             pending.update(new)
     return _reduce_basis(basis)
+
+
+def _pairs_with(basis, k) -> list:
+    """The pairs (k, t), t < k, whose leading terms share a variable.
+
+    A pair with coprime leading terms is treated where it is formed: its
+    S-polynomial reduces to zero (Buchberger's product criterion), so it
+    never enters the pair list.
+    """
+    lead = _leading(basis[k])[0]
+    return [(k, t) for t in range(k) if any(map(min, lead, _leading(basis[t])[0]))]
 
 
 def _chain_criterion(basis, pending, i, j, lcm) -> bool:

@@ -218,6 +218,17 @@ def test_budget_env_caps_the_chain_powers(capsys, monkeypatch):
     assert "generator-product sweep" in capsys.readouterr().err
 
 
+def test_budget_env_caps_the_s_pairs(capsys, monkeypatch):
+    argv = ["tau", "--poly", "y^3 + 2*x^2*y + 2*x^3, 2*y^2 + 2*x^2 + x^3",
+            "--p", "3", "--lambda", "2/3", "--e", "1"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("THRESHOLDS_BUDGET", "40")
+    assert run(argv) == 3
+    # the products of a^2 fit; Buchberger takes more than 40 pairs
+    assert capsys.readouterr().err == "error: S-pair budget exceeded\n"
+
+
 def test_improper_ideal_has_no_threshold(capsys):
     assert run(["lct", "--monomial", "1, x"]) == 2
     assert capsys.readouterr().err == "error: improper ideal: threshold is infinite\n"
