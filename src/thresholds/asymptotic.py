@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import ceil, isqrt, lcm
 
 from thresholds.newton import (
     MonomialIdeal,
@@ -47,7 +47,6 @@ class AsymptoticEstimate:
     samples: tuple  # ((m, Fraction), ...)
     limit_lo: Fraction
     limit_hi: Fraction
-    tag: str
 
     def last(self) -> Fraction:
         return self.samples[-1][1]
@@ -100,28 +99,18 @@ class PolyhedralQ:
             raise ValueError("m must be >= 1")
         if self.n != 2:
             raise NotImplementedError("enumeration implemented for n = 2 only")
+        rows = list(zip(self.C, self.b))
+        # from the last column on, every row with c1 > 0 is met, so u2 stays put
+        last = max((ceil(m * bb / c1) for (c1, _), bb in rows if c1 > 0), default=0)
+        if last > 10**7:
+            raise RuntimeError("runaway enumeration; is Q proper?")
         gens = []
-        u1 = 0
-        while True:
-            lo = Fraction(0)
-            feasible = True
-            moving = False  # some row with c1 > 0 still binds
-            for (c1, c2), bb in zip(self.C, self.b):
-                need = m * bb - c1 * u1
-                if need <= 0:
-                    continue
-                moving = moving or c1 > 0
-                if c2 == 0:
-                    feasible = False
-                    break
-                lo = max(lo, need / c2)
-            if feasible:
-                gens.append((u1, -(-lo.numerator // lo.denominator)))  # ceil
-            if not moving:
-                break  # from here on the same rows bind, so u2 stays put
-            u1 += 1
-            if u1 > 10**7:
-                raise RuntimeError("runaway enumeration; is Q proper?")
+        for u1 in range(last + 1):
+            needs = [(m * bb - c1 * u1, c2) for (c1, c2), bb in rows]
+            if any(need > 0 and c2 == 0 for need, c2 in needs):
+                continue
+            lo = max((need / c2 for need, c2 in needs if need > 0), default=0)
+            gens.append((u1, ceil(lo)))
         return MonomialIdeal(2, gens)
 
     def arn_limit(self) -> tuple:
@@ -195,7 +184,7 @@ def val_asym(seq, v, m: int) -> Fraction:
     return monomial_valuation(v, seq.ideal(m)) / m
 
 
-def estimate_arn(seq, m_max: int, *, start: int = 16, tag: str = "") -> AsymptoticEstimate:
+def estimate_arn(seq, m_max: int, *, start: int = 16) -> AsymptoticEstimate:
     """Sample Arn(a_m)/m at m = start, 2*start, ..., m_max."""
     if m_max < start:
         raise ValueError(f"m_max must be >= {start}")
@@ -205,7 +194,7 @@ def estimate_arn(seq, m_max: int, *, start: int = 16, tag: str = "") -> Asymptot
         samples.append((m, arn_asym(seq, m)))
         m *= 2
     lo, hi = seq.arn_limit()
-    return AsymptoticEstimate(tuple(samples), lo, hi, tag or "arn")
+    return AsymptoticEstimate(tuple(samples), lo, hi)
 
 
 def golden_ratio_demo(m_max: int = 2048) -> AsymptoticEstimate:
@@ -214,7 +203,7 @@ def golden_ratio_demo(m_max: int = 2048) -> AsymptoticEstimate:
     Every sample is an upper bound for the limit (the lattice ideal sits
     inside the dilated region), and the m-th sample is within 1/m of it.
     """
-    est = estimate_arn(HyperbolaQ(), m_max, tag="golden-ratio")
+    est = estimate_arn(HyperbolaQ(), m_max)
     for m, value in est.samples:
         if not (GOLDEN_LO <= value <= GOLDEN_HI + Fraction(1, m)):
             raise AssertionError(f"sample at m={m} outside certified band")

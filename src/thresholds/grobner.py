@@ -1,9 +1,11 @@
 """Groebner bases over F_p in graded reverse lexicographic order.
 
 Buchberger's algorithm, followed by reduction to the unique reduced basis, so
-ideal equality is a tuple comparison.  The product criterion applies where a
-pair is formed (a pair with coprime leading terms never enters the pair
-list) and the chain criterion where a pair is taken from it.
+ideal equality is a tuple comparison.  The untreated pairs sit in one store
+in the order they were formed, and normal selection takes the pair with the
+grevlex-smallest lcm, the newest one on a tie.  The product criterion
+applies where a pair is formed (a pair with coprime leading terms never
+enters the store) and the chain criterion where a pair is taken from it.
 
 Ideals generated by monomials skip all of this: a ``PolyIdeal`` of
 single-term generators stores its minimal monomial generators
@@ -29,7 +31,7 @@ from thresholds.rings import (
     product_sweep,
 )
 
-# pairs taken from the pair list of one basis; coprime pairs never get there
+# pairs taken from the pair store of one basis; coprime pairs never get there
 DEFAULT_PAIR_BUDGET = 10**5
 
 
@@ -120,22 +122,17 @@ def _fp_generators(gens) -> list:
 def groebner_basis(gens) -> tuple:
     """Reduced grevlex Groebner basis, monic, sorted by leading term."""
     basis = _fp_generators(gens)
-    pairs = [pair for k in range(len(basis)) for pair in _pairs_with(basis, k)]
-    # the pairs still in the list, each (larger, smaller); all others are treated
-    pending = set(pairs)
-    processed, limit = 0, budget(DEFAULT_PAIR_BUDGET)
-    while pairs:
-        # prefer the pair with the grevlex-smallest lcm (normal selection)
-        pairs.sort(
-            key=lambda ij: grevlex_key(
-                _lcm(_leading(basis[ij[0]])[0], _leading(basis[ij[1]])[0])
-            ),
-            reverse=True,
-        )
-        i, j = pairs.pop()
-        pending.discard((i, j))
-        processed += 1
-        if processed > limit:
+    # the untreated pairs, each (larger, smaller), in the order they were formed
+    pending = dict.fromkeys(
+        pair for k in range(len(basis)) for pair in _pairs_with(basis, k))
+    left = budget(DEFAULT_PAIR_BUDGET)
+    while pending:
+        # normal selection: the grevlex-smallest lcm, the newest pair on a tie
+        i, j = min(reversed(pending), key=lambda ij: grevlex_key(
+            _lcm(_leading(basis[ij[0]])[0], _leading(basis[ij[1]])[0])))
+        del pending[i, j]
+        left -= 1
+        if left < 0:
             raise BudgetExceededError("S-pair budget exceeded")
         lcm = _lcm(_leading(basis[i])[0], _leading(basis[j])[0])
         if _chain_criterion(basis, pending, i, j, lcm):
@@ -143,9 +140,7 @@ def groebner_basis(gens) -> tuple:
         r = normal_form(_s_poly(basis[i], basis[j]), basis)
         if not r.is_zero():
             basis.append(r)
-            new = _pairs_with(basis, len(basis) - 1)
-            pairs.extend(new)
-            pending.update(new)
+            pending.update(dict.fromkeys(_pairs_with(basis, len(basis) - 1)))
     return _reduce_basis(basis)
 
 
@@ -154,7 +149,7 @@ def _pairs_with(basis, k) -> list:
 
     A pair with coprime leading terms is treated where it is formed: its
     S-polynomial reduces to zero (Buchberger's product criterion), so it
-    never enters the pair list.
+    never enters the pair store.
     """
     lead = _leading(basis[k])[0]
     return [(k, t) for t in range(k) if any(map(min, lead, _leading(basis[t])[0]))]

@@ -4,8 +4,8 @@ For a polynomial with rational coefficients, the F-pure threshold of the
 reduction mod p never exceeds the characteristic-zero threshold, and the two
 agree for infinitely many p.  ``compare_at_prime`` produces one row of that
 comparison from a proved enclosure of the F-pure threshold;
-``compare_diagonal`` runs it across a prime range for diagonal polynomials,
-where equality has a clean congruence description.
+``compare_diagonal`` runs it across a prime range for a diagonal polynomial
+over Q, where equality has a clean congruence description.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from thresholds.rings import Polynomial, Ring, is_prime
 EQUAL = "equal"
 FPT_LESS = "fpt-less"
 INCONCLUSIVE = "inconclusive"
+
+_NOT_DIAGONAL = "compare expects a diagonal x1^a1 + ... + xn^an"
 
 
 class BadReductionError(ValueError):
@@ -83,26 +85,33 @@ def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
     return ComparisonRow(p, replace(enc, hi=min(enc.hi, lct0)), lct0)
 
 
-def compare_diagonal(exponents, primes, *, e_max: int = 3) -> list:
-    """Comparison rows for x_1^{a_1} + ... + x_n^{a_n} across the given primes.
+def compare_diagonal(f: Polynomial, primes, *, e_max: int = 3) -> list:
+    """Comparison rows for a diagonal f = x_1^{a_1} + ... + x_n^{a_n} over Q
+    across the given primes.
 
-    The two thresholds agree when p = 1 mod a_1*...*a_n (every a_i then
-    divides p - 1), so those rows are EQUAL without a computation; every
-    row carries p mod a_1*...*a_n as its residue.
+    f must be a sum of terms 1*x_i^{a_i}, each variable in at most one of
+    them; anything else raises ``ValueError``.  The two thresholds agree
+    when p = 1 mod a_1*...*a_n (every a_i then divides p - 1), so those rows
+    are EQUAL without a computation; every row carries p mod a_1*...*a_n as
+    its residue.
     Primes dividing some exponent are skipped: the reduction is then a p-th
     power times a unit pattern and the diagonal closed forms do not apply.
     """
-    fam = Diagonal(tuple(exponents))
-    lct0 = lct_closed_form(fam).value
-    n = len(fam.exponents)
-    modulus = prod(fam.exponents)
-    ring = Ring.rationals(n)
-    f = Polynomial(ring, {
-        tuple(a if j == i else 0 for j in range(n)): 1
-        for i, a in enumerate(fam.exponents)
-    })
+    if f.ring.p is not None:
+        raise ValueError("polynomial is already in characteristic p")
+    exponents = {}  # variable index -> its exponent
+    for exp, c in f.terms.items():
+        support = [i for i, a in enumerate(exp) if a]
+        if len(support) != 1 or c != 1 or support[0] in exponents:
+            raise ValueError(_NOT_DIAGONAL)
+        exponents[support[0]] = exp[support[0]]
+    if not exponents:
+        raise ValueError(_NOT_DIAGONAL)
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
+    fam = Diagonal(tuple(exponents.values()))
+    lct0 = lct_closed_form(fam).value
+    modulus = prod(fam.exponents)
     rows = []
     for p in primes:
         if any(a % p == 0 for a in fam.exponents):

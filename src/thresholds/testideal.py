@@ -54,7 +54,6 @@ def frobenius_root(b, e: int) -> PolyIdeal:
 @dataclass(frozen=True)
 class TauResult:
     ideal: PolyIdeal
-    lam: Fraction
     stabilized: bool  # True only with a certificate of exactness
     e_used: int
 
@@ -137,16 +136,14 @@ def _tau_principal(f: Polynomial, lam: Fraction) -> TauResult:
     ring = f.ring
     p = ring.p
     if lam == 0:
-        return TauResult(PolyIdeal(Polynomial.one(ring)), lam, True, 0)
+        return TauResult(PolyIdeal(Polynomial.one(ring)), True, 0)
     if lam >= 1:
         # Skoda, k = floor(lam) times at once: tau(f^{k+s}) = f^k * tau(f^s)
         k = floor(lam)
         inner = _tau_principal(f, lam - k)
         fk = f.pow(k)
-        return TauResult(
-            PolyIdeal([fk * g for g in inner.ideal.gens]),
-            lam, inner.stabilized, inner.e_used,
-        )
+        return TauResult(PolyIdeal([fk * g for g in inner.ideal.gens]),
+                         inner.stabilized, inner.e_used)
     d = lam.denominator
     m = 0
     while d % p == 0:
@@ -155,10 +152,7 @@ def _tau_principal(f: Polynomial, lam: Fraction) -> TauResult:
     if m:
         # tau(f^{s/p^m}) = tau(f^s)^[1/p^m]
         inner = _tau_principal(f, lam * p**m)
-        return TauResult(
-            frobenius_root(inner.ideal, m),
-            lam, inner.stabilized, inner.e_used,
-        )
+        return TauResult(frobenius_root(inner.ideal, m), inner.stabilized, inner.e_used)
     # p does not divide the denominator: fixed-point iteration at level q
     b = _multiplicative_order(p, d)
     q = p**b
@@ -171,11 +165,11 @@ def _tau_principal(f: Polynomial, lam: Fraction) -> TauResult:
     for it in range(1, ITER_MAX + 1):
         Z = frobenius_root([fc * g for g in Y.gens], b)
         if Z.equal(Y):
-            return TauResult(Y, lam, True, it)
+            return TauResult(Y, True, it)
         if not Z.contains(Y):
             raise AssertionError("principal tau iteration failed to ascend")
         Y = Z
-    return TauResult(Y, lam, False, ITER_MAX)
+    return TauResult(Y, False, ITER_MAX)
 
 
 def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:
@@ -188,20 +182,19 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:
     a = PolyIdeal(a)
     ring = a.ring
     if lam == 0:
-        return TauResult(PolyIdeal(Polynomial.one(ring)), lam, True, 0)
+        return TauResult(PolyIdeal(Polynomial.one(ring)), True, 0)
     if a.monomial is not None:
         result = tau_monomial(a.monomial, lam).gens
         return TauResult(
-            PolyIdeal([Polynomial.monomial(ring, u) for u in result]), lam, True, 0
-        )
+            PolyIdeal([Polynomial.monomial(ring, u) for u in result]), True, 0)
     if len(a.gens) == 1:
         return _tau_principal(a.gens[0], lam)
     one = Polynomial.one(ring)
     for e, cur in enumerate(ascending_chain(a, lam, e_max), start=1):
         if cur.member(one):
             # an ascending chain that reaches (1) stays there
-            return TauResult(PolyIdeal(one), lam, True, e)
-    return TauResult(cur, lam, False, e_max)
+            return TauResult(PolyIdeal(one), True, e)
+    return TauResult(cur, False, e_max)
 
 
 # ----------------------------------------------------------------------

@@ -277,7 +277,8 @@ def test_criterion_10_golden_ratio():
 
 @criterion(11)
 def test_criterion_11_comparison_table():
-    rows = compare_diagonal((2, 3), PRIMES_100)
+    cusp = parse_polynomial("x^2 + y^3", Ring.rationals(2))
+    rows = compare_diagonal(cusp, PRIMES_100)
     assert {r.p for r in rows} == set(PRIMES_100) - {2, 3}
     for r in rows:
         assert r.relation != INCONCLUSIVE

@@ -132,6 +132,10 @@ def test_polyhedral_staircase_ends_where_u2_stops_moving():
             assert PolyhedralQ([(0, 1)], [1]).ideal(m).gens == ((0, m),)
             square = PolyhedralQ([(1, 0), (0, 1)], [1, 1])
             assert square.ideal(m).gens == ((m, m),)
+        # the last column, 10^8, is known before the first: the guard fires
+        # at once instead of after ten million columns
+        with pytest.raises(RuntimeError, match="runaway enumeration"):
+            PolyhedralQ([(Fraction(1, 10**8), 1)], [1]).ideal(1)
 
 
 def test_hyperbola_ideal_matches_bruteforce():

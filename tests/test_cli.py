@@ -347,6 +347,12 @@ def test_lambda_errors_name_the_flag(capsys, argv):
     assert "--lambda" in err and argv[-1] in err
 
 
+def test_compare_zero_polynomial_is_not_a_diagonal(capsys):
+    assert run(["compare", "--poly", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: compare expects a diagonal x1^a1 + ... + xn^an\n")
+
+
 def test_lambda_takes_what_fraction_takes(capsys):
     rep = _json(capsys, ["tau", "--poly", "x", "--p", "5", "--lambda", "0.5"])
     assert rep["lambda"] == "1/2"

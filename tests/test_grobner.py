@@ -300,3 +300,25 @@ def test_normal_form_multiplies_no_polynomials(monkeypatch):
     monkeypatch.setattr(Polynomial, "mul", _counting(Polynomial.mul, calls))
     assert normal_form(f, basis) == expected
     assert calls == []
+
+
+@pytest.mark.parametrize("ring, gens, order", [
+    (Ring.prime_field(2, 2), ["x^3*y^3 + y^2", "x^3*y^3 + x^3*y + y^3", "y^2 + 1"],
+     [(2, 1), (3, 2), (3, 1), (3, 0), (2, 0), (1, 0)]),
+    (Ring.prime_field(3, 3), ["x^3*y*z^3 + y^2", "2*x^3*y^2*z^3 + x*y^3 + x^2"],
+     [(1, 0), (2, 1), (3, 0), (4, 2), (2, 0), (3, 1), (4, 1), (4, 0), (3, 2),
+      (4, 3)]),
+    (Ring.prime_field(3, 5),
+     ["x*y^2*z", "3*x^3*y^3*z^3 + 4*x^2*y*z^2 + x^3*y", "y^3*z + z"],
+     [(2, 0), (3, 0), (3, 2), (3, 1), (4, 3), (4, 0), (4, 2), (4, 1), (2, 1),
+      (1, 0)]),
+])
+def test_normal_selection_takes_the_newest_pair_on_a_tie(ring, gens, order):
+    # the pairs in the order the chain criterion sees them: the smallest
+    # lcm first, and among equal lcms the pair formed last; taking the
+    # oldest pair on a tie changes each of these sequences
+    calls = []
+    with mock.patch.object(grobner, "_chain_criterion",
+                           _counting(grobner._chain_criterion, calls)):
+        groebner_basis([P(g, ring) for g in gens])
+    assert [(i, j) for _, _, i, j, _ in calls] == order

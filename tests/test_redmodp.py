@@ -15,6 +15,7 @@ from thresholds.redmodp import (
 from thresholds.rings import Polynomial, Ring, parse_polynomial
 
 Q2 = Ring.rationals(2)
+CUSP = parse_polynomial("x^2 + y^3", Q2)
 
 
 def test_reduce_mod_p_coefficients():
@@ -51,7 +52,7 @@ def test_reduce_mod_p_is_ring_map_on_samples(num, den):
 
 def test_cusp_comparison_rows():
     lct0 = Fraction(5, 6)
-    rows = compare_diagonal((2, 3), (5, 7, 11, 13, 31, 37), e_max=4)
+    rows = compare_diagonal(CUSP, (5, 7, 11, 13, 31, 37), e_max=4)
     assert [row.p for row in rows] == [5, 7, 11, 13, 31, 37]
     for row in rows:
         assert row.fpt.hi <= lct0
@@ -66,14 +67,14 @@ def test_cusp_comparison_rows():
 
 
 def test_cusp_gap_is_zero_or_one_sixth_p():
-    for row in compare_diagonal((2, 3), (5, 7, 11, 13), e_max=4):
+    for row in compare_diagonal(CUSP, (5, 7, 11, 13), e_max=4):
         gap = Fraction(5, 6) - (row.fpt.value if row.fpt.is_exact else row.fpt.lo)
         assert gap == 0 or abs(gap - Fraction(1, 6 * row.p)) <= row.fpt.width()
 
 
 def test_compare_diagonal_congruence():
     primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
-    rows = compare_diagonal((2, 3), primes)
+    rows = compare_diagonal(CUSP, primes)
     assert all(isinstance(r, ComparisonRow) for r in rows)
     assert {r.p for r in rows} == {p for p in primes if p not in (2, 3)}
     for r in rows:
@@ -83,7 +84,8 @@ def test_compare_diagonal_congruence():
 
 
 def test_compare_diagonal_three_variables():
-    rows = compare_diagonal((2, 2, 2), [5, 7, 17], e_max=2)
+    rows = compare_diagonal(
+        parse_polynomial("x^2 + y^2 + z^2", Ring.rationals(3)), [5, 7, 17], e_max=2)
     for r in rows:
         assert r.lct0 == 1
         assert r.fpt.hi <= 1
@@ -92,8 +94,19 @@ def test_compare_diagonal_three_variables():
 
 
 def test_compare_diagonal_skips_bad_primes():
-    rows = compare_diagonal((2, 3), [2, 3, 5])
+    rows = compare_diagonal(CUSP, [2, 3, 5])
     assert [r.p for r in rows] == [5]
+
+
+@pytest.mark.parametrize("text", ["0", "x*y", "2*x^2 + y^3", "x^2 + x^3", "x^2 + 1"])
+def test_compare_diagonal_reads_only_a_diagonal(text):
+    with pytest.raises(ValueError, match="compare expects a diagonal"):
+        compare_diagonal(parse_polynomial(text, Q2), [5])
+
+
+def test_compare_diagonal_needs_rational_coefficients():
+    with pytest.raises(ValueError, match="already in characteristic p"):
+        compare_diagonal(parse_polynomial("x^2 + y^3", Ring.prime_field(2, 7)), [7])
 
 
 def test_lower_bound_never_exceeds_lct0():
