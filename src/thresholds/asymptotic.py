@@ -22,6 +22,7 @@ from thresholds.newton import (
     extreme_rays,
     monomial_valuation,
 )
+from thresholds.rings import BudgetExceededError
 
 SQRT_DIGITS = 30
 
@@ -98,12 +99,12 @@ class PolyhedralQ:
         if m < 1:
             raise ValueError("m must be >= 1")
         if self.n != 2:
-            raise NotImplementedError("enumeration implemented for n = 2 only")
+            raise ValueError("enumeration implemented for n = 2 only")
         rows = list(zip(self.C, self.b))
         # from the last column on, every row with c1 > 0 is met, so u2 stays put
         last = max((ceil(m * bb / c1) for (c1, _), bb in rows if c1 > 0), default=0)
         if last > 10**7:
-            raise RuntimeError("runaway enumeration; is Q proper?")
+            raise BudgetExceededError("runaway enumeration; is Q proper?")
         gens = []
         for u1 in range(last + 1):
             needs = [(m * bb - c1 * u1, c2) for (c1, c2), bb in rows]

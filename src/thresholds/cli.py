@@ -7,7 +7,8 @@ as a ``"num/den"`` string.  Floating point appears only in explicitly labeled
 ``approx`` fields of asymptotic reports.
 
 Exit codes: 0 success, 2 malformed input, 3 budget exhaustion (always) or
-uncertified results under ``--strict``.
+uncertified results under ``--strict``, 4 a broken invariant.  Each failure
+prints one ``error:`` line and no traceback.
 
 Importing this module loads only the standard library; each subcommand
 imports the modules it runs when it is called.
@@ -42,15 +43,6 @@ def _parse_lambda(text: str) -> Fraction:
         raise ValueError(f"--lambda expects a rational NUM/DEN, got {text!r}") from None
 
 
-def _parse_gens(text: str, p: int) -> list:
-    """Comma-separated generator list over F_p."""
-    from thresholds.rings import infer_ring, parse_polynomial
-
-    pieces = [s.strip() for s in text.split(",")]
-    ring = infer_ring("+".join(pieces), p)
-    return [parse_polynomial(s, ring) for s in pieces]
-
-
 # ----------------------------------------------------------------------
 # Subcommand bodies: each returns (report dict, certified flag)
 # ----------------------------------------------------------------------
@@ -64,23 +56,25 @@ def _cmd_lct(args):
 
 def _cmd_fpt(args):
     from thresholds import frobenius
+    from thresholds.rings import parse_generators
 
-    enc = frobenius.fpt_enclosure(_parse_gens(args.poly, args.p), args.e)
+    enc = frobenius.fpt_enclosure(parse_generators(args.poly, args.p), args.e)
     return {"fpt": _interval_dict(enc), "p": args.p}, enc.is_exact
 
 
 def _cmd_nu(args):
     from thresholds import frobenius
+    from thresholds.rings import parse_generators
 
-    gens = _parse_gens(args.poly, args.p)
+    gens = parse_generators(args.poly, args.p)
     return {"nu": frobenius.nu(gens, args.e), "p": args.p, "e": args.e}, True
 
 
 def _cmd_tau(args):
     from thresholds import testideal
-    from thresholds.rings import render_polynomial
+    from thresholds.rings import parse_generators, render_polynomial
 
-    gens = _parse_gens(args.poly, args.p)
+    gens = parse_generators(args.poly, args.p)
     lam = _parse_lambda(args.lam)
     res = testideal.tau(gens, lam, e_max=args.e)
     return {
@@ -94,8 +88,9 @@ def _cmd_tau(args):
 
 def _cmd_fjump(args):
     from thresholds import testideal
+    from thresholds.rings import parse_generators
 
-    gens = _parse_gens(args.poly, args.p)
+    gens = parse_generators(args.poly, args.p)
     rep = testideal.fjump_scan(gens, args.grid, _parse_lambda(args.lam), e_max=args.e)
     return {
         "p": args.p,
@@ -159,8 +154,9 @@ def _cmd_compare(args):
 
 def _cmd_ordinary(args):
     from thresholds import frobenius
+    from thresholds.rings import parse_generators
 
-    gens = _parse_gens(args.poly, args.p)
+    gens = parse_generators(args.poly, args.p)
     if len(gens) != 1:
         raise ValueError("ordinary expects a single cubic")
     cone_fpt = frobenius.fpt_cubic_cone(gens[0])
@@ -246,7 +242,7 @@ def _render_text(report: dict, indent: int = 0) -> str:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from thresholds.rings import BudgetExceededError, ParseError, budget
+    from thresholds.rings import BudgetExceededError, budget
 
     try:
         budget(0)  # a malformed THRESHOLDS_BUDGET fails every subcommand
@@ -254,9 +250,12 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError, ZeroDivisionError, NotImplementedError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return 4
     report = {"schema": 1, "command": args.command, **report}
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))

@@ -96,14 +96,12 @@ def nu(a, e: int) -> int:
     ring, p = a.ring, a.ring.p
     if a.monomial is not None:
         return _nu_box(a.monomial.gens, ring.nvars, p**e)
-    terms = [tuple(g.terms.items()) for g in a.gens]
     left = budget(DEFAULT_PRODUCT_BUDGET)
-    frontier = {frozenset({((0,) * ring.nvars, 1)}): 0}
     if len(a.gens) > 1:
-        return product_sweep(terms, p, p**e, frontier, left)[0]
-    i = 0
+        return product_sweep(a.gens, p**e, left)[0]
+    i, start = 0, None
     for k in range(1, e + 1):
-        d, frontier, left = product_sweep(terms, p, p**k, frontier, left)
+        d, products, left = product_sweep(a.gens, p**k, left, start)
         if d > p - 1:
             raise AssertionError(f"level {k} of the nu walk took {d} > p - 1 steps")
         i += d
@@ -111,9 +109,10 @@ def nu(a, e: int) -> int:
             return p**e - 1
         if k == e:
             return i
-        (prod,) = frontier
-        lifted = frozenset((tuple(x * p for x in u), c) for u, c in prod)
-        frontier, i = {lifted: 0}, i * p
+        (prod,) = products
+        start = Polynomial(ring, {tuple(x * p for x in u): c
+                                  for u, c in prod.terms.items()})
+        i *= p
 
 
 def fpt_enclosure(a, e_max: int) -> ThresholdResult:

@@ -25,7 +25,6 @@ from thresholds.newton import MonomialIdeal, minimal_points
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
-    RingMismatchError,
     budget,
     grevlex_key,
     product_sweep,
@@ -220,9 +219,9 @@ class PolyIdeal:
         return self._gb
 
     def member(self, f: Polynomial) -> bool:
-        """Whether f is in the ideal; another ring raises RingMismatchError."""
+        """Whether f is in the ideal; another ring raises ValueError."""
         if f.ring != self.ring:
-            raise RingMismatchError(f"ring mismatch: {f.ring} vs {self.ring}")
+            raise ValueError(f"ring mismatch: {f.ring} vs {self.ring}")
         if self.monomial is not None:
             return all(self.monomial.contains_monomial(t) for t in f.terms)
         if f.is_zero():
@@ -233,9 +232,9 @@ class PolyIdeal:
         return all(self.member(g) for g in other.gens)
 
     def equal(self, other: "PolyIdeal") -> bool:
-        """Whether the ideals are equal; another ring raises RingMismatchError."""
+        """Whether the ideals are equal; another ring raises ValueError."""
         if self.ring != other.ring:
-            raise RingMismatchError(f"ring mismatch: {other.ring} vs {self.ring}")
+            raise ValueError(f"ring mismatch: {other.ring} vs {self.ring}")
         if self.monomial is not None and other.monomial is not None:
             return self.monomial.gens == other.monomial.gens
         return self.groebner() == other.groebner()
@@ -256,11 +255,6 @@ def ideal_power(gens, r: int) -> list:
 
     if r < 1:
         raise ValueError("power must be >= 1")
-    ring = gens[0].ring
-    terms = [tuple(g.terms.items()) for g in gens]
     q = 1 + r * max(max(exp) for g in gens for exp in g.terms)
-    one = {frozenset({((0,) * ring.nvars, 1)}): 0}
-    _, products, _ = product_sweep(
-        terms, ring.p, q, one, budget(frobenius.DEFAULT_PRODUCT_BUDGET), r
-    )
-    return [Polynomial(ring, dict(prod)) for prod in products]
+    left = budget(frobenius.DEFAULT_PRODUCT_BUDGET)
+    return product_sweep(gens, q, left, steps=r)[1]

@@ -4,8 +4,8 @@ Only the families with known closed forms are computed: diagonal forms,
 homogeneous polynomials with isolated singularity, and nonsingular
 subschemes.  A plane node is ``HomogeneousIsolated(2, 2)``, with threshold 1;
 monomial ideals go through :func:`thresholds.newton.lct_monomial`.  Anything
-else raises :class:`UnsupportedFamilyError`; computing a general threshold
-would need a log resolution, which is out of scope.
+else raises ``ValueError``; computing a general threshold would need a log
+resolution, which is out of scope.
 
 This module imports no other ``thresholds`` module.
 """
@@ -14,10 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-class UnsupportedFamilyError(ValueError):
-    """Input is outside the closed-form family catalog."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ def lct_closed_form(family) -> ThresholdResult:
         return ThresholdResult.exact(min(Fraction(1), Fraction(family.n, family.d)))
     if isinstance(family, SmoothSubscheme):
         return ThresholdResult.exact(Fraction(family.codim))
-    raise UnsupportedFamilyError(f"no closed form for {family!r}")
+    raise ValueError(f"no closed form for {family!r}")
 
 
 def truncation_bound(lct_f: Fraction, n: int, N: int) -> tuple:

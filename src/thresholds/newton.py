@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from thresholds.lp import OPTIMAL, solve_lp
-from thresholds.rings import infer_ring, parse_polynomial
-
-
-class NotMPrimaryError(ValueError):
-    pass
+from thresholds.rings import parse_generators
 
 
 def minimal_points(points) -> list:
@@ -64,17 +60,17 @@ class MonomialIdeal:
     @staticmethod
     def parse(text: str) -> "MonomialIdeal":
         """Parse a comma-separated monomial list such as ``x^2, y^3``."""
-        ring = infer_ring(text.replace(",", "+"))
+        polys = parse_generators(text)
         gens = []
-        for piece in text.split(","):
-            poly = parse_polynomial(piece.strip(), ring)
+        for piece, poly in zip(text.split(","), polys):
+            piece = piece.strip()
             if len(poly.terms) != 1:
-                raise ValueError(f"{piece.strip()!r} is not a monomial")
+                raise ValueError(f"{piece!r} is not a monomial")
             ((exp, coeff),) = poly.terms.items()
             if coeff != 1:
                 raise ValueError(f"monomial generators must be monic: {piece!r}")
             gens.append(exp)
-        return MonomialIdeal(ring.nvars, gens)
+        return MonomialIdeal(polys[0].ring.nvars, gens)
 
     def is_proper(self) -> bool:
         return all(any(x > 0 for x in g) for g in self.gens)
@@ -317,7 +313,7 @@ def multiplicity_monomial(a: MonomialIdeal) -> int:
     product of the exponents.
     """
     if not a.is_m_primary():
-        raise NotMPrimaryError(f"{a.gens} is not m-primary")
+        raise ValueError(f"{a.gens} is not m-primary")
     vol = covolume(a.gens, a.n)
     result = vol * math.factorial(a.n)
     if result.denominator != 1:

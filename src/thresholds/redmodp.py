@@ -25,10 +25,6 @@ INCONCLUSIVE = "inconclusive"
 _NOT_DIAGONAL = "compare expects a diagonal x1^a1 + ... + xn^an"
 
 
-class BadReductionError(ValueError):
-    """A coefficient denominator vanishes mod p."""
-
-
 def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
     """Coefficientwise reduction of a Q-polynomial to F_p."""
     if f.ring.p is not None:
@@ -40,7 +36,7 @@ def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
     for exp, c in f.terms.items():
         c = Fraction(c)
         if c.denominator % p == 0:
-            raise BadReductionError(f"denominator of {c} vanishes mod {p}")
+            raise ValueError(f"denominator of {c} vanishes mod {p}")
         num = c.numerator % p
         if num:
             terms[exp] = target.coeff(num * pow(c.denominator % p, -1, p))

@@ -4,7 +4,7 @@ Terms are stored in a dict keyed by exponent tuples (one nonnegative integer
 per variable, arbitrary precision).  Coefficients are ``Fraction`` over Q and
 residues in ``[0, p)`` over F_p.  The ring context's prime fixes the
 coefficient field (``p is None`` is Q); mixing ring contexts raises
-``RingMismatchError`` rather than coercing.
+``ValueError`` rather than coercing.
 
 Besides the ring arithmetic this module provides the characteristic-p
 primitives everything else is built on:
@@ -49,10 +49,6 @@ def budget(default: int) -> int:
     if cap < 1:
         raise ValueError(f"THRESHOLDS_BUDGET must be a positive integer, got {raw!r}")
     return cap
-
-
-class RingMismatchError(ValueError):
-    """Operands belong to different ring contexts."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -210,7 +206,7 @@ class Polynomial:
 
     def _check(self, other: "Polynomial"):
         if self.ring != other.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
+            raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
@@ -442,38 +438,42 @@ def _times(prod, g, q: int, p: int):
     return frozenset(out.items())
 
 
-def product_sweep(gens, p: int, q: int, frontier: dict, budget: int,
+def product_sweep(gens, q: int, budget: int, start: Polynomial | None = None,
                   steps: int | None = None) -> tuple:
     """Multiply generator products up degree by degree modulo m^[q] over F_p.
 
-    ``gens`` holds each generator's (exponent, coefficient) pairs.
-    ``frontier`` maps each monic product of one degree that is nonzero
-    modulo m^[q] to the smallest generator index it may still be multiplied
-    by; indices never decrease, so each multiset of generators is formed
-    once, and equal monic products are kept once.  A product costs the
-    number of term pairs it multiplies, charged to ``budget``.  The sweep
-    stops after ``steps`` degrees, or when none is given, before the first
-    degree with no product left.  Returns the number of degrees taken, the
-    products of the last one and the budget left.
+    ``gens`` and ``start``, a monic product to begin from (1 when None),
+    share one F_p ring.  Each degree keeps every monic product that is
+    nonzero modulo m^[q] with the smallest generator index it may still be
+    multiplied by; indices never decrease, so each multiset of generators is
+    formed once, and equal monic products are kept once.  A product costs
+    the number of term pairs it multiplies, charged to ``budget``.  The
+    sweep stops after ``steps`` degrees, or when none is given, before the
+    first degree with no product left.  Returns the number of degrees taken,
+    the products of the last one and the budget left.
     """
+    ring = gens[0].ring
+    terms = [tuple(g.terms.items()) for g in gens]
+    start = Polynomial.one(ring) if start is None else start
+    frontier = {frozenset(start.terms.items()): 0}
     taken = 0
     while steps is None or taken < steps:
         nxt: dict = {}
-        for prod, start in frontier.items():
+        for prod, first in frontier.items():
             size = len(prod)
-            for j in range(start, len(gens)):
-                budget -= size * len(gens[j])
+            for j in range(first, len(terms)):
+                budget -= size * len(terms[j])
                 if budget < 0:
                     raise BudgetExceededError(
                         "generator-product sweep exceeded its term budget"
                     )
-                r = _times(prod, gens[j], q, p)
-                if r is not None and j < nxt.get(r, len(gens)):
+                r = _times(prod, terms[j], q, ring.p)
+                if r is not None and j < nxt.get(r, len(terms)):
                     nxt[r] = j
         if not nxt:
             break
         frontier, taken = nxt, taken + 1
-    return taken, frontier, budget
+    return taken, [Polynomial(ring, dict(prod)) for prod in frontier], budget
 
 
 # ----------------------------------------------------------------------
@@ -602,6 +602,15 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+
+
+def parse_generators(text: str, p: int | None = None) -> list:
+    """Parse a comma-separated generator list in the ring of its variable
+    names (:func:`infer_ring`), over F_p for a prime p and over Q when p is
+    None."""
+    pieces = [s.strip() for s in text.split(",")]
+    ring = infer_ring("+".join(pieces), p)
+    return [parse_polynomial(s, ring) for s in pieces]
 
 
 def infer_ring(text: str, p: int | None = None) -> Ring:

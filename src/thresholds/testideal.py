@@ -157,7 +157,8 @@ def _tau_principal(f: Polynomial, lam: Fraction) -> TauResult:
     b = _multiplicative_order(p, d)
     q = p**b
     c = lam * (q - 1)
-    assert c.denominator == 1
+    if c.denominator != 1:
+        raise AssertionError(f"lambda*(q-1) = {c} is not an integer")
     c = c.numerator
     # exact starting value tau(f^{ceil(lam q)/q}) = (f^{ceil(lam q)})^[1/q]
     Y = frobenius_root([f.pow(ceil(lam * q))], b)

@@ -95,6 +95,8 @@ def test_polyhedral_validation():
     for v in ((-1, 1), (1, 1, 1)):
         with pytest.raises(ValueError):
             seq.val_limit(v)  # unbounded below, or the wrong dimension
+    with pytest.raises(ValueError, match="n = 2 only"):
+        PolyhedralQ([(1, 1, 1)], [1]).ideal(1)  # malformed input, not a missing feature
 
 
 

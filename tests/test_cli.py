@@ -236,6 +236,28 @@ def test_improper_ideal_has_no_threshold(capsys):
     assert rep["lct"] is None and rep["m_primary"] is False
 
 
+@pytest.mark.parametrize("gens, message", [
+    ("x^2, 2*y", "monomial generators must be monic: '2*y'"),
+    ("x^2, x + y", "'x + y' is not a monomial"),
+])
+def test_monomial_errors_name_the_stripped_piece(capsys, gens, message):
+    assert run(["lct", "--monomial", gens]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_broken_invariant_exits_4_with_one_error_line(capsys, monkeypatch):
+    def sweep_p_steps(gens, q, budget, start=None, steps=None):
+        return gens[0].ring.p, [start], budget
+
+    # a level that takes p steps breaks nu(e+1) <= p*nu(e) + p - 1
+    monkeypatch.setattr(frobenius, "product_sweep", sweep_p_steps)
+    assert run(["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invariant failed: level 1 of the nu walk took 5 > p - 1 steps\n")
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

@@ -203,8 +203,8 @@ def test_nu_sequence_regression_guard(monkeypatch):
     f = parse_polynomial("x^2+y^3", F5)
     assert [nu(f, e) for e in (1, 2, 3)] == [3, 19, 99]
 
-    def sweep_p_steps(gens, p, q, frontier, budget, steps=None):
-        return p, frontier, budget
+    def sweep_p_steps(gens, q, budget, start=None, steps=None):
+        return gens[0].ring.p, [start], budget
 
     # a level that takes p steps breaks nu(e+1) <= p*nu(e) + p - 1
     monkeypatch.setattr(frobenius, "product_sweep", sweep_p_steps)

@@ -23,7 +23,6 @@ from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
     Ring,
-    RingMismatchError,
     parse_polynomial,
 )
 from thresholds.testideal import ascending_chain
@@ -102,15 +101,15 @@ def test_member_rejects_a_polynomial_from_another_ring():
     # the monomial path and the Groebner path
     for ideal in (PolyIdeal(P("x")), PolyIdeal(P("x + y^2"))):
         for f in (x3, x7):
-            with pytest.raises(RingMismatchError):
+            with pytest.raises(ValueError, match="ring mismatch"):
                 ideal.member(f)
-        with pytest.raises(RingMismatchError):
+        with pytest.raises(ValueError, match="ring mismatch"):
             ideal.contains(PolyIdeal(x3))
 
 
 def test_equal_rejects_an_ideal_from_another_ring():
     # x over F_5[x,y] against x over F_5[x,y,z]: not unequal, incomparable
-    with pytest.raises(RingMismatchError):
+    with pytest.raises(ValueError, match="ring mismatch"):
         PolyIdeal(P("x")).equal(PolyIdeal(P("x", Ring.prime_field(3, 5))))
 
 

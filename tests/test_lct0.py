@@ -8,7 +8,6 @@ from thresholds.lct0 import (
     HomogeneousIsolated,
     SmoothSubscheme,
     ThresholdResult,
-    UnsupportedFamilyError,
     lct_closed_form,
     lct_general_combination,
     truncation_bound,
@@ -51,7 +50,7 @@ def test_outputs_in_range(exps):
 
 
 def test_unsupported_family():
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(ValueError, match="no closed form for"):
         lct_closed_form(object())
 
 

@@ -14,7 +14,6 @@ from oracles import (
 from thresholds.grobner import PolyIdeal, ideal_power
 from thresholds.newton import (
     MonomialIdeal,
-    NotMPrimaryError,
     check_amgm,
     covolume,
     diagonal_entry_min,
@@ -309,7 +308,7 @@ def test_multiplicity_of_powers_scales():
 
 
 def test_multiplicity_requires_m_primary():
-    with pytest.raises(NotMPrimaryError):
+    with pytest.raises(ValueError, match="is not m-primary"):
         multiplicity_monomial(MonomialIdeal(2, [(1, 1)]))
 
 
