@@ -1,17 +1,17 @@
 """F-pure thresholds via Frobenius powers of the maximal ideal.
 
-nu(e) is the largest i such that a^i is not contained in m^[p^e]; the values
-nu(e)/p^e increase to the F-pure threshold.  One degree sweep computes it:
-starting from 1, every kept product of generators is multiplied by each
-generator, every term with an exponent >= p^e is dropped as soon as it is
-formed (m^[p^e] is spanned by exactly those monomials), and the answer is the
-last degree with a product left.  Products of monomials are points of the box
-{0..p^e-1}^n, so for monomial ideals the sweep runs on a bitset of that box.
+nu(e) is the largest i with a^i not in m^[p^e]; nu(e)/p^e increases to the
+F-pure threshold.  ``_levels`` yields nu(1), nu(2), ... for ``nu`` and
+``fpt_enclosures``, one degree sweep per level: from 1, each kept product of
+generators is multiplied by every generator, each term with an exponent >= p^e
+is dropped as it is formed (m^[p^e] is spanned by those monomials), and nu(e)
+is the last degree with a product left; monomial ideals sweep a bitset.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 from operator import add
 
 from thresholds.grobner import PolyIdeal
@@ -27,7 +27,7 @@ from thresholds.rings import (
 
 DEFAULT_BOX_BUDGET = 10**7
 DEFAULT_PRODUCT_BUDGET = 10**6  # term pairs multiplied by product_sweep
-PE_CAP = 10**8  # fpt_enclosure uses no level p^e above this
+PE_CAP = 10**8  # fpt_enclosures uses no level p^e above this
 
 
 def _in_m(a) -> PolyIdeal:
@@ -68,97 +68,99 @@ def _nu_box(exps, n: int, q: int) -> int:
         reach, i = nxt, i + 1
 
 
-def nu(a, e: int) -> int:
-    """Largest i with a^i not contained in m^[p^e], at the origin.
+def _levels(a: PolyIdeal):
+    """Yield nu(1), nu(2), ... of an ideal a in m (checked by :func:`_in_m`).
 
-    Monomial ideals sweep the exponent box (:func:`_nu_box`); every other
-    ideal sweeps its generator products (:func:`rings.product_sweep`).  A
-    principal ideal walks the levels p, p^2, ..., p^e: over F_p, f^(p*j)
-    modulo m^[p*q] is f^j modulo m^[q] with every exponent multiplied by p,
-    and p*nu(k) <= nu(k+1) <= p*nu(k) + p - 1 (Blickle-Mustata-Smith,
-    F-thresholds of hypersurfaces), so level k+1 resumes from the p-th power
-    of level k's last product and takes at most p - 1 further steps; a level
-    that takes more raises AssertionError.
+    Monomial ideals sweep the exponent box (:func:`_nu_box`) and other ideals
+    with several generators their products (:func:`rings.product_sweep`), on
+    a fresh budget per level.  A principal ideal walks the levels on one
+    budget: over F_p, f^(p*j) mod m^[p*q] is f^j mod m^[q] with its exponents
+    times p, and p*nu(k) <= nu(k+1) <= p*nu(k) + p - 1 (Blickle-Mustata-Smith,
+    F-thresholds of hypersurfaces), so level k+1 resumes from level k's lifted
+    last product and takes at most p - 1 further steps.  A level of any shape
+    that breaks a bound it is held to raises AssertionError.
 
-    A level k with nu(k) = p^k - 1 ends the walk, since then nu(e) = p^e - 1
-    for every e.  Indeed nu(j) <= p^j - 1 always (f^(p^j) lies in m^[p^j]),
-    so nu(k) <= p*nu(k-1) + p - 1 forces nu(k-1) = p^(k-1) - 1, and so on
-    down to nu(1) = p - 1: f^(p-1) is not in m^[p], so f is F-pure by
-    Fedder's criterion.  Work in the local ring R at the origin, where g is
-    outside m^[q] exactly when (g)^[1/q] = R.  From (g^p h)^[1/p] =
-    g (h)^[1/p] and (f^(p-1))^[1/p] = R, induction on j gives
-    (f^(p^(j+1)-1))^[1/p^(j+1)] = (f^(p^j-1) (f^(p-1))^[1/p])^[1/p^j]
-    = (f^(p^j-1))^[1/p^j] = R.
+    A level k with nu(k) = p^k - 1 ends the walk: nu(e) = p^e - 1 for every e.
+    Indeed nu(j) <= p^j - 1 always (f^(p^j) lies in m^[p^j]), so nu(k) <=
+    p*nu(k-1) + p - 1 forces nu(k-1) = p^(k-1) - 1, and so on down to
+    nu(1) = p - 1: f^(p-1) is not in m^[p], so f is F-pure by Fedder's
+    criterion.  In the local ring R at the origin g is outside m^[q] exactly
+    when (g)^[1/q] = R; from (g^p h)^[1/p] = g (h)^[1/p] and (f^(p-1))^[1/p]
+    = R, induction on j gives (f^(p^(j+1)-1))^[1/p^(j+1)] =
+    (f^(p^j-1) (f^(p-1))^[1/p])^[1/p^j] = (f^(p^j-1))^[1/p^j] = R.
     """
+    ring, p = a.ring, a.ring.p
+    left = budget(DEFAULT_PRODUCT_BUDGET)
+    prev, q = 0, 1
+    for k in count(1):
+        q *= p
+        if a.monomial is not None:
+            level = _nu_box(a.monomial.gens, ring.nvars, q)
+        elif len(a.gens) > 1:
+            level = product_sweep(a.gens, q, budget(DEFAULT_PRODUCT_BUDGET))[0]
+        elif 0 < prev == q // p - 1:
+            level = q - 1  # F-pure: no sweep needed
+        else:
+            start = None if k == 1 else Polynomial(
+                ring, {tuple(x * p for x in u): c for u, c in prod.terms.items()})
+            d, (prod,), left = product_sweep(a.gens, q, left, start)
+            if d > p - 1:
+                raise AssertionError(f"level {k} of the nu walk took {d} > p - 1 steps")
+            level = p * prev + d
+        if level < p * prev:
+            raise AssertionError(f"nu({k}) = {level} < p*nu({k - 1}) = {p * prev}")
+        yield level
+        prev = level
+
+
+def nu(a, e: int) -> int:
+    """Largest i with a^i not contained in m^[p^e], at the origin: level e."""
     if e < 1:
         raise ValueError("e must be >= 1")
-    a = _in_m(a)
-    ring, p = a.ring, a.ring.p
-    if a.monomial is not None:
-        return _nu_box(a.monomial.gens, ring.nvars, p**e)
-    left = budget(DEFAULT_PRODUCT_BUDGET)
-    if len(a.gens) > 1:
-        return product_sweep(a.gens, p**e, left)[0]
-    i, start = 0, None
-    for k in range(1, e + 1):
-        d, products, left = product_sweep(a.gens, p**k, left, start)
-        if d > p - 1:
-            raise AssertionError(f"level {k} of the nu walk took {d} > p - 1 steps")
-        i += d
-        if i == p**k - 1:
-            return p**e - 1
-        if k == e:
-            return i
-        (prod,) = products
-        start = Polynomial(ring, {tuple(x * p for x in u): c
-                                  for u, c in prod.terms.items()})
-        i *= p
+    return next(islice(_levels(_in_m(a)), e - 1, None))
 
 
-def fpt_enclosure(a, e_max: int) -> ThresholdResult:
-    """Proved enclosure of the F-pure threshold from nu(e) data.
-
-    Closed-form families short-circuit to exact values: monomial generator
-    lists (threshold from the Newton polyhedron) and one-variable principal
-    ideals (threshold 1/ord).  Otherwise the interval is
-    [nu(e)/p^e, (nu(e)+1)/p^e] for principal ideals, with a generator-wise sum
-    as the fallback upper bound, clamped into [1/ord, n/ord].  The prime p is
-    the ring's, and e is the largest level <= e_max with p^e <= PE_CAP.
+def fpt_enclosures(a):
+    """Yield a proved enclosure of the F-pure threshold per level e with
+    p^e <= PE_CAP.  Exact values come once: for monomial generator lists (from
+    the Newton polyhedron), one-variable principal ideals (1/ord) and F-pure
+    principal ideals (1, once nu(e) = p^e - 1; see :func:`_levels`).  Other
+    levels give [nu(e)/p^e, (nu(e)+1)/p^e] for principal ideals, with a
+    generator-wise sum as the upper end for the others, in [1/ord, n/ord].
     """
-    if e_max < 1:
-        raise ValueError("e_max must be >= 1")
     a = _in_m(a)
     gens, p, n = a.gens, a.ring.p, a.ring.nvars
     ord_a = min(g.order() for g in gens)
-
     if a.monomial is not None:
-        return ThresholdResult.exact(lct_monomial(a.monomial), "LP")
-    if len(gens) == 1:
-        used = [i for i in range(n) if any(exp[i] for exp in gens[0].terms)]
-        if len(used) == 1:
-            return ThresholdResult.exact(Fraction(1, ord_a), "closed-form")
-
-    e = 0
-    while e < e_max and p ** (e + 1) <= PE_CAP:
-        e += 1
-    if e == 0:
+        yield ThresholdResult.exact(lct_monomial(a.monomial), "LP")
+        return
+    used = {i for u in gens[0].terms for i, x in enumerate(u) if x}
+    if len(gens) == 1 and len(used) == 1:
+        yield ThresholdResult.exact(Fraction(1, ord_a), "closed-form")
+        return
+    if p > PE_CAP:
         raise BudgetExceededError("p^e cap leaves no usable e")
-    q = p**e
-    if len(gens) == 1:
-        nu_e = nu(a, e)  # the walk checks nu(k+1) <= p*nu(k) + p - 1
-        upper = Fraction(nu_e + 1, q)
-    else:
-        values = [nu(a, k) for k in range(1, e + 1)]
-        if any(b < p * a for a, b in zip(values, values[1:])):
-            raise AssertionError(
-                f"nu sequence violates nu(e+1) >= p*nu(e): {values}"
-            )
-        nu_e = values[-1]
-        upper = sum(Fraction(nu(g, e) + 1, q) for g in gens)
+    each = [_levels(PolyIdeal(g)) for g in gens] if len(gens) > 1 else []
+    for e, nu_e in enumerate(_levels(a), 1):
+        q = p**e
+        if each:
+            upper = sum(Fraction(next(g) + 1, q) for g in each)
+        elif nu_e == q - 1:
+            yield ThresholdResult.exact(1, "F-pure")
+            return
+        else:
+            upper = Fraction(nu_e + 1, q)
+        yield ThresholdResult(max(Fraction(nu_e, q), Fraction(1, ord_a)),
+                              min(upper, Fraction(n, ord_a)), "nu-limit")
+        if q * p > PE_CAP:
+            return
 
-    lower = max(Fraction(nu_e, q), Fraction(1, ord_a))
-    upper = min(upper, Fraction(n, ord_a))
-    return ThresholdResult(lower, upper, "nu-limit")
+
+def fpt_enclosure(a, e_max: int) -> ThresholdResult:
+    """The last enclosure of :func:`fpt_enclosures` at a level <= e_max."""
+    if e_max < 1:
+        raise ValueError("e_max must be >= 1")
+    return list(islice(fpt_enclosures(a), e_max))[-1]
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,7 @@ class ThresholdResult:
 
     lo: Fraction
     hi: Fraction
-    method: str  # 'closed-form' | 'LP' | 'nu-limit'
+    method: str  # 'closed-form' | 'LP' | 'nu-limit' | 'F-pure'
 
     def __post_init__(self):
         if self.lo > self.hi:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import prod
 
-from thresholds.frobenius import fpt_enclosure
+from thresholds.frobenius import fpt_enclosures
 from thresholds.lct0 import Diagonal, ThresholdResult, lct_closed_form
 from thresholds.rings import Polynomial, Ring, is_prime
 
@@ -60,18 +61,14 @@ class ComparisonRow:
 
 def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
                      e_max: int) -> ComparisonRow:
-    """One comparison row: a proved enclosure of fpt(f mod p) against lct0.
-
-    The row holds a nu-based enclosure of fpt(f mod p) for some level
-    e <= e_max, intersected with the a-priori bound fpt <= lct0.
-    """
+    """One comparison row: the first enclosure of fpt(f mod p) at a level
+    e <= e_max that decides its relation to lct0, else the last, intersected
+    with the a-priori bound fpt <= lct0."""
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
     lct0 = Fraction(lct0)
     fp = reduce_mod_p(f, p)
-    # grow e only until the relation is decided; the interval narrows as 1/p^e
-    for e in range(1, e_max + 1):
-        enc = fpt_enclosure(fp, e)
+    for enc in islice(fpt_enclosures(fp), e_max):
         if enc.hi < lct0 or enc.is_exact:
             break
     if enc.lo > lct0:

@@ -1,12 +1,17 @@
-"""Shared hypothesis strategies and small oracles for the test suite."""
+"""Shared hypothesis strategies, small oracles and the source scanner of
+the AST guards, for the test suite."""
 
+import ast
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from thresholds.rings import Polynomial, Ring
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "thresholds"
 
 
 def exponents(nvars, max_exp=4):
@@ -84,3 +89,38 @@ def within_seconds(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def uses(tree, name):
+    """(enclosing def path, e.g. ``Class.method``) of each load of ``name``
+    or string constant equal to it, and whether ``name`` is imported at all."""
+    found, imported = set(), False
+
+    def visit(node, scope):
+        nonlocal imported
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.ImportFrom):
+                imported |= any(alias.name == name for alias in child.names)
+            elif (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ) or (isinstance(child, ast.Constant) and child.value == name):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found, imported
+
+
+def src_uses(name):
+    """The (module, enclosing def path) of each use of ``name`` in the
+    package, and the modules that import it by name."""
+    found, importers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        scopes, imported = uses(ast.parse(path.read_text()), name)
+        found |= {(path.stem, s) for s in scopes}
+        if imported:
+            importers.add(path.stem)
+    return found, importers

@@ -118,6 +118,15 @@ def test_compare_command(capsys):
         assert (row["relation"] == "equal") == (row["p"] % 6 == 1)
 
 
+def test_compare_f_pure_node_is_equal_at_every_prime(capsys):
+    # x^2 + y^2 is F-pure at every odd p, so each row is exactly 1 = lct0
+    rep = _json(capsys, ["compare", "--poly", "x^2 + y^2", "--pmax", "30", "--strict"])
+    assert [row["p"] for row in rep["rows"]] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for row in rep["rows"]:
+        assert row["relation"] == "equal"
+        assert row["fpt"]["method"] == ("closed-form" if row["p"] % 4 == 1 else "F-pure")
+
+
 def test_ordinary_command(capsys, monkeypatch):
     calls = []
     coefficient = frobenius.monomial_coefficient
@@ -325,8 +334,11 @@ def test_fpt_deep_level_encloses_cusp_threshold(capsys):
 
 
 def test_fpt_f_pure_stress_row_exits_0(capsys):
-    rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3 + z^5", "--p", "97", "--e", "3"])
-    assert rep["fpt"]["lo"] == "912672/912673" and rep["fpt"]["hi"] == "1/1"
+    # nu(1) = p - 1, so the surface is F-pure and its threshold is exactly 1
+    for e in ("1", "2", "3"):
+        rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3 + z^5", "--p", "97", "--e", e])
+        assert rep["fpt"] == {"lo": "1/1", "hi": "1/1", "certified": True,
+                              "method": "F-pure"}
 
 
 def test_tau_large_integer_lambda_exits_0(capsys):

@@ -1,14 +1,16 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import nonzero_polynomials
+from helpers import nonzero_polynomials, src_uses
 from oracles import in_frobenius_power, is_smooth_cubic_reference
 from thresholds import frobenius
 from thresholds.frobenius import (
     fpt_cubic_cone,
     fpt_enclosure,
+    fpt_enclosures,
     is_ordinary_cubic,
     is_smooth_cubic,
     nu,
@@ -21,6 +23,7 @@ from thresholds.rings import (
     Ring,
     parse_polynomial,
     power_has_reduced_term,
+    product_sweep,
 )
 
 F2 = Ring.prime_field(2, 2)
@@ -201,19 +204,38 @@ def test_nu_subadditive_in_ideal_sum():
 
 def test_nu_sequence_regression_guard(monkeypatch):
     f = parse_polynomial("x^2+y^3", F5)
+    a = [f, parse_polynomial("x*y", F5)]
     assert [nu(f, e) for e in (1, 2, 3)] == [3, 19, 99]
+    assert [nu(a, e) for e in (1, 2)] == [4, 24]
 
     def sweep_p_steps(gens, q, budget, start=None, steps=None):
         return gens[0].ring.p, [start], budget
 
     # a level that takes p steps breaks nu(e+1) <= p*nu(e) + p - 1
     monkeypatch.setattr(frobenius, "product_sweep", sweep_p_steps)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="level 1 of the nu walk took 5"):
         nu(f, 1)
+
+    def sweep_broken_ideal(gens, q, budget, start=None, steps=None):
+        if len(gens) == 1:
+            return product_sweep(gens, q, budget, start, steps)
+        return {5: 3, 25: 14}[q], [], budget
+
     # nu(2) = 14 < 5*nu(1) breaks nu(e+1) >= p*nu(e) for an ideal
-    monkeypatch.setattr(frobenius, "nu", lambda a, e: {1: 3, 2: 14}[e])
-    with pytest.raises(AssertionError):
-        fpt_enclosure([f, parse_polynomial("x*y", F5)], 2)
+    monkeypatch.setattr(frobenius, "product_sweep", sweep_broken_ideal)
+    for read in (lambda: nu(a, 2), lambda: fpt_enclosure(a, 2)):
+        with pytest.raises(AssertionError, match=r"nu\(2\) = 14 < p\*nu\(1\) = 15"):
+            read()
+
+
+def test_levels_are_swept_in_one_place():
+    """Only ``_levels`` sweeps a nu level and only ``ideal_power`` forms a^r,
+    and only the ``fpt`` subcommand asks for the last enclosure alone."""
+    assert src_uses("product_sweep") == (
+        {("frobenius", "_levels"), ("grobner", "ideal_power")},
+        {"frobenius", "grobner"},
+    )
+    assert src_uses("fpt_enclosure") == ({("cli", "_cmd_fpt")}, set())
 
 
 def test_fpt_enclosure_levels_and_cap(monkeypatch):
@@ -226,6 +248,42 @@ def test_fpt_enclosure_levels_and_cap(monkeypatch):
     monkeypatch.setattr(frobenius, "PE_CAP", 4)
     with pytest.raises(BudgetExceededError, match="p\\^e cap"):
         fpt_enclosure(f, 3)
+
+
+@st.composite
+def _f_pure_cases(draw):
+    n = draw(st.integers(1, 3))
+    ring = Ring.prime_field(n, draw(st.sampled_from([2, 3, 5, 7, 11, 13])))
+    return draw(nonzero_polynomials(ring, max_terms=3, max_exp=2).filter(
+        lambda f: (0,) * n not in f.terms))
+
+
+@given(_f_pure_cases())
+@example(parse_polynomial("x^2 + y^2", Ring.prime_field(2, 7)))
+@example(parse_polynomial("x*y + x^3", F3))
+def test_exact_one_means_f_pure(f):
+    # fpt(f) lies in (nu(1)/p, (nu(1)+1)/p], so fpt = 1 exactly when nu(1) = p - 1
+    enc = fpt_enclosure(f, 1)
+    one = enc.is_exact and enc.value == 1
+    assert one == (_nu_bruteforce([f], 1) == f.ring.p - 1)
+    if one:
+        assert fpt_enclosure(f, 3).contains(1)
+
+
+def _enclosure_cases(k):
+    gens = nonzero_polynomials(F3, max_terms=3, max_exp=3).filter(
+        lambda f: (0, 0) not in f.terms)
+    return st.lists(gens, min_size=k, max_size=k)
+
+
+@given(_enclosure_cases(1) | _enclosure_cases(2), st.integers(1, 3))
+@example([parse_polynomial("x^2+y^3", F3), parse_polynomial("x*y", F3)], 3)
+def test_fpt_enclosure_is_the_last_of_fpt_enclosures(gens, e):
+    encs = list(islice(fpt_enclosures(gens), e))
+    assert fpt_enclosure(gens, e) == encs[-1]
+    assert len(encs) == e or encs[-1].is_exact
+    for wide, narrow in zip(encs, encs[1:]):  # each level narrows the last
+        assert wide.lo <= narrow.lo <= narrow.hi <= wide.hi
 
 
 def test_fpt_monomial_is_lct():

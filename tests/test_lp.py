@@ -1,11 +1,11 @@
 import ast
 from fractions import Fraction
-from pathlib import Path
 
 import oracles
 import pytest
 from hypothesis import example, given, strategies as st
 
+from helpers import SRC, src_uses, uses
 from thresholds import lp
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from thresholds.rings import BudgetExceededError
@@ -148,44 +148,11 @@ def test_carried_reduced_costs_take_the_reference_pivots(problem):
     assert pivots == ref_pivots
 
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "thresholds"
-
-
-def _uses(tree, name):
-    """(enclosing def path, e.g. ``Class.method``) of each load of ``name``
-    or string constant equal to it, and whether ``name`` is imported at all."""
-    uses, imported = set(), False
-
-    def visit(node, scope):
-        nonlocal imported
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.ImportFrom):
-                imported |= any(alias.name == name for alias in child.names)
-            elif (isinstance(child, ast.Name) and child.id == name) or (
-                isinstance(child, ast.Attribute) and child.attr == name
-            ) or (isinstance(child, ast.Constant) and child.value == name):
-                uses.add(".".join(scope))
-            visit(child, scope)
-
-    visit(tree, ())
-    return uses, imported
-
-
 def test_solve_lp_only_in_the_ray_and_region_lps():
     """The monomial layer asks the simplex one question, where a ray enters
     P(a).  A weight over a region given by inequalities is minimized over the
     region's vertices, from ``newton.extreme_rays``, not by an LP."""
-    uses, importers = set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        found, imported = _uses(ast.parse(path.read_text()), "solve_lp")
-        uses |= {(path.stem, f) for f in found}
-        if imported:
-            importers.add(path.stem)
-    assert uses == {("newton", "ray_entry")}
-    assert importers == {"newton"}
+    assert src_uses("solve_lp") == ({("newton", "ray_entry")}, {"newton"})
 
 
 BUDGETS = ("DEFAULT_TERM_BUDGET", "WALK_BUDGET", "DEFAULT_BOX_BUDGET",
@@ -200,7 +167,7 @@ def test_budgets_are_read_never_written():
     readers, stray, writes = set(), [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        found, _ = _uses(tree, "THRESHOLDS_BUDGET")
+        found, _ = uses(tree, "THRESHOLDS_BUDGET")
         readers |= {(path.stem, f) for f in found}
         imported = {
             alias.asname or alias.name.split(".")[0]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from thresholds import frobenius
 from thresholds.redmodp import (
     EQUAL,
     FPT_LESS,
@@ -11,7 +12,7 @@ from thresholds.redmodp import (
     compare_diagonal,
     reduce_mod_p,
 )
-from thresholds.rings import Polynomial, Ring, parse_polynomial
+from thresholds.rings import Polynomial, Ring, parse_polynomial, product_sweep
 
 Q2 = Ring.rationals(2)
 CUSP = parse_polynomial("x^2 + y^3", Q2)
@@ -63,6 +64,19 @@ def test_cusp_comparison_rows():
             assert row.relation == FPT_LESS
             # the gap is exactly 1/(6p) for these primes
             assert row.fpt.contains(lct0 - Fraction(1, 6 * row.p))
+
+
+def test_compare_sweeps_each_level_once(monkeypatch):
+    calls = []
+
+    def counting_sweep(*args):
+        calls.append(args[1])
+        return product_sweep(*args)
+
+    monkeypatch.setattr(frobenius, "product_sweep", counting_sweep)
+    row = compare_at_prime(CUSP, 7, Fraction(5, 6), e_max=3)
+    assert not row.fpt.is_exact  # no level decides, so all three are read
+    assert calls == [7, 49, 343]
 
 
 def test_cusp_gap_is_zero_or_one_sixth_p():
