@@ -123,8 +123,9 @@ def nu(a, e: int) -> int:
 def fpt_enclosures(a):
     """Yield a proved enclosure of the F-pure threshold per level e with
     p^e <= PE_CAP.  Exact values come once: for monomial generator lists (from
-    the Newton polyhedron), one-variable principal ideals (1/ord) and F-pure
-    principal ideals (1, once nu(e) = p^e - 1; see :func:`_levels`).  Other
+    the Newton polyhedron), one-variable principal ideals (1/ord), smooth
+    ternary cubic forms (:func:`fpt_cubic_cone`) and F-pure principal ideals
+    (1, once nu(e) = p^e - 1; see :func:`_levels`).  Other
     levels give [nu(e)/p^e, (nu(e)+1)/p^e] for principal ideals, with a
     generator-wise sum as the upper end for the others, in [1/ord, n/ord].
     """
@@ -137,6 +138,10 @@ def fpt_enclosures(a):
     used = {i for u in gens[0].terms for i, x in enumerate(u) if x}
     if len(gens) == 1 and len(used) == 1:
         yield ThresholdResult.exact(Fraction(1, ord_a), "closed-form")
+        return
+    if len(gens) == 1 and n == 3 and all(sum(u) == 3 for u in gens[0].terms) \
+            and is_smooth_cubic(gens[0]):
+        yield ThresholdResult.exact(fpt_cubic_cone(gens[0]), "cubic-cone")
         return
     if p > PE_CAP:
         raise BudgetExceededError("p^e cap leaves no usable e")

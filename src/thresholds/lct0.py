@@ -58,7 +58,7 @@ class ThresholdResult:
 
     lo: Fraction
     hi: Fraction
-    method: str  # 'closed-form' | 'LP' | 'nu-limit' | 'F-pure'
+    method: str  # 'closed-form' | 'LP' | 'nu-limit' | 'F-pure' | 'cubic-cone'
 
     def __post_init__(self):
         if self.lo > self.hi:

@@ -16,8 +16,9 @@ primitives everything else is built on:
   both nu and the ideal powers a^r.
 * ``power_coefficients(f, k, ceiling)`` reads the coefficients of ``f^k`` at
   the exponents below a ceiling without expanding ``f^k`` (pruned
-  multinomial walk, reduced mod p by the Lucas rule); coefficient extraction
-  and the reduced-term test both read it.
+  multinomial walk, reduced mod p by the Lucas rule, whose last two counts
+  come from a closed-form interval); coefficient extraction and the
+  reduced-term test both read it.
 """
 
 from __future__ import annotations
@@ -351,7 +352,11 @@ def power_coefficients(f: Polynomial, k: int, ceiling: Exponent) -> dict:
     ``c_i x^(a_i)`` of ``f``: one contributes ``multinomial(j) * prod c_i^j_i``
     at ``sum j_i a_i``.  A branch ends as soon as its partial exponent would
     pass the ceiling, and contributions are summed per exponent, so
-    cancellation is respected without expanding ``f^k``.
+    cancellation is respected without expanding ``f^k``.  The last two counts
+    are solved, not searched: with ``r`` copies left for the terms ``a``
+    and ``b``, ``j`` copies of ``a`` fit under the room ``R`` iff
+    ``j*(a_i - b_i) <= s_i = R_i - r*b_i`` in every coordinate, an interval
+    ``[lo, cap]``, so only the counts that reach the ceiling are visited.
     """
     if k < 0:
         raise ValueError("negative power")
@@ -363,7 +368,8 @@ def power_coefficients(f: Polynomial, k: int, ceiling: Exponent) -> dict:
     # a fixed term order makes the walk independent of how f was built; the
     # zero polynomial walks as the single term 0*x^0, so 0^0 = 1
     items = sorted(f.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-    items = items or [((0,) * ring.nvars, 0)]
+    zero = (0,) * ring.nvars
+    items = items or [(zero, 0)]
     last = len(items) - 1
     out: dict = {}
     counts: list = []
@@ -381,15 +387,25 @@ def power_coefficients(f: Polynomial, k: int, ceiling: Exponent) -> dict:
                 mult = multinomial_mod_p(parts, p) if p else multinomial_exact(parts)
                 out[final] = out.get(final, 0) + mult * coeff_prod * c**remaining
             return
-        cap = remaining
-        for x, r in zip(exp, room):
-            if x > 0:
-                cap = min(cap, r // x)
-        visits += cap + 1
+        # the counts j with j*x + (remaining - j)*y <= r in every coordinate:
+        # y is the last term's exponent when that term takes the other copies,
+        # and 0 further up, where the terms between may take them
+        lo, cap = 0, remaining
+        for x, y, r in zip(exp, items[last][0] if idx == last - 1 else zero, room):
+            s = r - remaining * y
+            if x > y:
+                cap = min(cap, s // (x - y))
+            elif x < y:
+                lo = max(lo, -(s // (y - x)))
+            elif s < 0:
+                return
+        if cap < lo:
+            return
+        visits += cap - lo + 1
         if visits > limit:
             raise BudgetExceededError("multinomial walk exceeded its visit budget")
-        power = 1
-        for j in range(cap + 1):
+        power = pow(c, lo, p) if p else c**lo
+        for j in range(lo, cap + 1):
             counts.append(j)
             descend(idx + 1, remaining - j,
                     tuple([r - j * x for r, x in zip(room, exp)]),

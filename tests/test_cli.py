@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,26 @@ def test_fpt_f_pure_stress_row_exits_0(capsys):
         rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3 + z^5", "--p", "97", "--e", e])
         assert rep["fpt"] == {"lo": "1/1", "hi": "1/1", "certified": True,
                               "method": "F-pure"}
+
+
+def test_fpt_smooth_cubic_stress_row_is_exact(capsys):
+    # the Hesse cubic at p = 101 is smooth and ordinary; each level alone
+    # gave [99/101, 100/101] at e = 1 and ran out of budget at e = 2
+    for e in ("1", "2"):
+        rep = _json(capsys, ["fpt", "--poly", "x^3+y^3+z^3+x*y*z", "--p", "101", "--e", e])
+        assert rep["fpt"] == {"lo": "100/101", "hi": "100/101", "certified": True,
+                              "method": "cubic-cone"}
+
+
+def test_ordinary_large_prime_stress_row_exits_0(capsys):
+    # the coefficient of (xyz)^(p-1) in (x^3+y^3+z^3+t*x*y*z)^(p-1) is the
+    # sum over 3a + d = p - 1 of (p-1)!/(a!^3 d!) t^d, here with t = 1
+    p = 401
+    hasse = sum(factorial(p - 1) // (factorial(a) ** 3 * factorial(p - 1 - 3 * a))
+                for a in range((p - 1) // 3 + 1)) % p
+    rep = _json(capsys, ["ordinary", "--poly", "x^3+y^3+z^3+x*y*z", "--p", str(p)])
+    assert rep["ordinary"] is (hasse != 0)
+    assert rep["cone_fpt"] == ("1/1" if hasse else f"{p - 1}/{p}")
 
 
 def test_tau_large_integer_lambda_exits_0(capsys):

@@ -352,6 +352,8 @@ def test_fermat_cubic_ordinarity():
 def test_smooth_cubic_examples(text, p, smooth):
     f = parse_polynomial(text, Ring.prime_field(3, p))
     assert is_smooth_cubic(f) == is_smooth_cubic_reference(f) == smooth
+    # a singular cubic keeps the level sweep
+    assert (fpt_enclosure(f, 1).method == "cubic-cone") == smooth
     if not smooth:
         with pytest.raises(ValueError, match="singular"):
             is_ordinary_cubic(f)
@@ -373,8 +375,11 @@ def test_smooth_cubic_rank_test_matches_groebner(f):
     smooth = is_smooth_cubic(f)
     assert smooth == is_smooth_cubic_reference(f)
     if smooth:
-        enclosure = fpt_enclosure(f, 3)
-        assert enclosure.lo <= fpt_cubic_cone(f) <= enclosure.hi
+        # fpt_enclosure returns fpt_cubic_cone itself, so the oracle is the
+        # raw level nu(3), which takes no shortcut
+        nu_3, q = nu(f, 3), f.ring.p**3
+        assert Fraction(nu_3, q) <= fpt_cubic_cone(f) <= Fraction(nu_3 + 1, q)
+        assert fpt_enclosure(f, 3).method == "cubic-cone"
     else:
         with pytest.raises(ValueError, match="singular"):
             is_ordinary_cubic(f)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import nonzero_polynomials, polynomials
 from oracles import frobenius_expand
@@ -15,6 +15,7 @@ from thresholds.rings import (
     multinomial_exact,
     multinomial_mod_p,
     parse_polynomial,
+    power_coefficients,
     power_has_reduced_term,
     render_polynomial,
 )
@@ -22,6 +23,7 @@ from thresholds.rings import (
 QQ2 = Ring.rationals(2)
 F5 = Ring.prime_field(2, 5)
 F7 = Ring.prime_field(3, 7)
+F31 = Ring.prime_field(3, 31)
 
 
 def test_ring_constructors_and_names():
@@ -147,6 +149,57 @@ def test_power_has_reduced_term_matches_expansion(f, k, bound):
         all(x < bound for x in exp) for exp in expanded.terms
     )
     assert power_has_reduced_term(f, k, bound) == expected
+
+
+@st.composite
+def _walks(draw):
+    """(f, k, ceiling): f with 1-5 terms in 1-3 variables over F_2..F_7 or Q,
+    k <= 8, and a ceiling anywhere from 0 to past the degree of f^k."""
+    p = draw(st.sampled_from([2, 3, 5, 7, None]))
+    n = draw(st.integers(1, 3))
+    ring = Ring.rationals(n) if p is None else Ring.prime_field(n, p)
+    f = draw(nonzero_polynomials(ring, max_terms=5, max_exp=3))
+    k = draw(st.integers(0, 8))
+    ceiling = draw(st.tuples(*[st.integers(0, 3 * k + 1)] * n))
+    return f, k, ceiling
+
+
+def _walk(text, p, ceiling, k=2):
+    return parse_polynomial(text, Ring.prime_field(2, p)), k, ceiling
+
+
+# the last two terms x^2*y, y agree in y, and 2*1 copies pass the y ceiling 1
+@example(_walk("x^2*y + y", 5, (4, 1)))
+@example(_walk("x^2*y + y", 5, (4, 2)))
+# x^2 then y^2 need j <= 0 from x and j >= 2 from y: an empty count range
+@example(_walk("x^2 + y^2", 7, (1, 1)))
+@example(_walk("x^2 + x*y + y^2", 3, (2, 2)))
+@settings(max_examples=200)
+@given(_walks())
+def test_power_coefficients_match_the_truncated_power(walk):
+    f, k, ceiling = walk
+    expected = {u: c for u, c in f.pow(k).terms.items()
+                if all(x <= y for x, y in zip(u, ceiling))}
+    assert power_coefficients(f, k, ceiling) == expected
+
+
+def test_walk_charges_only_the_counts_that_fit(monkeypatch):
+    # the Hesse cubic at p = 31 visits 143 nodes; trying every count of the
+    # next-to-last term would visit 1,408
+    f = parse_polynomial("x^3+y^3+z^3+4*x*y*z", F31)
+    monkeypatch.setattr(rings, "WALK_BUDGET", 500)
+    assert monomial_coefficient(f, 30, (30, 30, 30)) == 5
+
+
+def test_walk_visits_exactly_the_counts_that_fit(monkeypatch):
+    # (x^2 + x*y + y^2)^4 at x^4*y^4: x^2 is taken 0, 1 or 2 times (3
+    # visits), and each time x*y has one count left that fits (3 more)
+    f = parse_polynomial("x^2 + x*y + y^2", Ring.rationals(2))
+    monkeypatch.setattr(rings, "WALK_BUDGET", 6)
+    assert monomial_coefficient(f, 4, (4, 4)) == 19
+    monkeypatch.setattr(rings, "WALK_BUDGET", 5)
+    with pytest.raises(BudgetExceededError):
+        monomial_coefficient(f, 4, (4, 4))
 
 
 def test_walk_budget_covers_both_coefficient_reads(monkeypatch):
