@@ -6,6 +6,8 @@ in the order they were formed, and normal selection takes the pair with the
 grevlex-smallest lcm, the newest one on a tie.  The product criterion
 applies where a pair is formed (a pair with coprime leading terms never
 enters the store) and the chain criterion where a pair is taken from it.
+The first nonzero constant, among the generators or the remainders, ends
+the loop: the ideal is (1), whose reduced basis is (1,).
 
 Ideals generated by monomials skip all of this: a ``PolyIdeal`` of
 single-term generators stores its minimal monomial generators
@@ -119,8 +121,15 @@ def _fp_generators(gens) -> list:
 
 
 def groebner_basis(gens) -> tuple:
-    """Reduced grevlex Groebner basis, monic, sorted by leading term."""
+    """Reduced grevlex Groebner basis, monic, sorted by leading term.
+
+    A nonzero constant generator or remainder returns (1,) at once, with the
+    pairs still pending untaken: the ideal is the unit ideal.
+    """
     basis = _fp_generators(gens)
+    unit = (Polynomial.one(basis[0].ring),)
+    if any(g.total_degree() == 0 for g in basis):
+        return unit
     # the untreated pairs, each (larger, smaller), in the order they were formed
     pending = dict.fromkeys(
         pair for k in range(len(basis)) for pair in _pairs_with(basis, k))
@@ -137,6 +146,8 @@ def groebner_basis(gens) -> tuple:
         if _chain_criterion(basis, pending, i, j, lcm):
             continue
         r = normal_form(_s_poly(basis[i], basis[j]), basis)
+        if r.total_degree() == 0:
+            return unit
         if not r.is_zero():
             basis.append(r)
             pending.update(dict.fromkeys(_pairs_with(basis, len(basis) - 1)))

@@ -13,7 +13,9 @@ primitives everything else is built on:
   monomial basis ``x^w`` with every entry of ``w`` in ``[0, p^e - 1]``.
 * ``product_sweep`` forms the products of a generator list degree by degree,
   each multiset of generators once, optionally modulo ``m^[q]``; it gives
-  both nu and the ideal powers a^r.
+  both nu and the ideal powers a^r.  Inside the sweep an exponent is one
+  packed int, so a product exponent is one addition and the test against
+  ``m^[q]`` one mask.
 * ``power_coefficients(f, k, ceiling)`` reads the coefficients of ``f^k`` at
   the exponents below a ceiling without expanding ``f^k`` (pruned
   multinomial walk, reduced mod p by the Lucas rule, whose last two counts
@@ -28,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from operator import add, le, neg
+from operator import le, neg
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
@@ -432,18 +434,20 @@ def power_has_reduced_term(f: Polynomial, k: int, bound: int) -> bool:
 # Products of generators
 # ----------------------------------------------------------------------
 
-def _times(prod, g, q: int, p: int):
+def _times(prod, g, lift: int, guard: int, p: int):
     """Monic prod*g with every term that has an exponent >= q dropped.
 
-    Products are frozensets of (exponent, coefficient) pairs; the result is
-    None when no term survives.
+    Products are frozensets of (packed exponent, coefficient) pairs and g is
+    a tuple of them; a sum ``s`` of two packed exponents has an entry >= q
+    iff ``(s + lift) & guard`` is nonzero (see :func:`product_sweep`).  The
+    result is None when no term survives.
     """
     out: dict = {}
     for eb, cb in g:
         for ea, ca in prod:
-            exp = tuple(map(add, ea, eb))
-            if max(exp) < q:
-                out[exp] = (out.get(exp, 0) + ca * cb) % p
+            s = ea + eb
+            if not (s + lift) & guard:
+                out[s] = (out.get(s, 0) + ca * cb) % p
     if 0 in out.values():
         out = {exp: c for exp, c in out.items() if c}
     if not out:
@@ -459,37 +463,68 @@ def product_sweep(gens, q: int, budget: int, start: Polynomial | None = None,
     """Multiply generator products up degree by degree modulo m^[q] over F_p.
 
     ``gens`` and ``start``, a monic product to begin from (1 when None),
-    share one F_p ring.  Each degree keeps every monic product that is
-    nonzero modulo m^[q] with the smallest generator index it may still be
-    multiplied by; indices never decrease, so each multiset of generators is
-    formed once, and equal monic products are kept once.  A product costs
-    the number of term pairs it multiplies, charged to ``budget``.  The
-    sweep stops after ``steps`` degrees, or when none is given, before the
-    first degree with no product left.  Returns the number of degrees taken,
-    the products of the last one and the budget left.
+    share one F_p ring; every exponent of ``start`` is below q.  Each degree
+    keeps every monic product that is nonzero modulo m^[q] with the smallest
+    generator index it may still be multiplied by; indices never decrease,
+    so each multiset of generators is formed once, and equal monic products
+    are kept once.  A product costs the number of term pairs it multiplies,
+    charged to ``budget``.  The sweep stops after ``steps`` degrees, or when
+    none is given, before the first degree with no product left.  Returns
+    the number of degrees taken, the products of the last one and the budget
+    left.
+
+    Exponents are packed on entry into one int each, in slots of w + 1 bits,
+    w = (2q).bit_length(), with x_1 in the highest slot, so that int order is
+    tuple order (the monic product divides by the coefficient of ``max``).
+    Two entries below q sum below 2q < 2^w, so a product exponent is one
+    int addition; adding ``lift`` (2^w - q in every slot) sets bit w of a slot
+    (``guard``) iff its entry is >= q.  A generator term with an entry >= q
+    is dropped before packing, but still charged.
     """
     ring = gens[0].ring
-    terms = [tuple(g.terms.items()) for g in gens]
     start = Polynomial.one(ring) if start is None else start
-    frontier = {frozenset(start.terms.items()): 0}
+    if any(max(exp) >= q for exp in start.terms):
+        raise ValueError(f"start has an exponent >= q = {q}")
+    w = (2 * q).bit_length()
+    shifts = range((w + 1) * (ring.nvars - 1), -1, -w - 1)
+    ones = sum(1 << shift for shift in shifts)
+    lift, guard = ((1 << w) - q) * ones, (1 << w) * ones
+
+    def pack(terms):
+        out = []
+        for exp, c in terms.items():
+            if max(exp) < q:
+                e = 0
+                for x in exp:
+                    e = e << w + 1 | x
+                out.append((e, c))
+        return tuple(out)
+
+    sizes = [len(g.terms) for g in gens]
+    terms = [pack(g.terms) for g in gens]
+    frontier = {frozenset(pack(start.terms)): 0}
     taken = 0
     while steps is None or taken < steps:
         nxt: dict = {}
         for prod, first in frontier.items():
             size = len(prod)
             for j in range(first, len(terms)):
-                budget -= size * len(terms[j])
+                budget -= size * sizes[j]
                 if budget < 0:
                     raise BudgetExceededError(
                         "generator-product sweep exceeded its term budget"
                     )
-                r = _times(prod, terms[j], q, ring.p)
+                r = _times(prod, terms[j], lift, guard, ring.p)
                 if r is not None and j < nxt.get(r, len(terms)):
                     nxt[r] = j
         if not nxt:
             break
         frontier, taken = nxt, taken + 1
-    return taken, [Polynomial(ring, dict(prod)) for prod in frontier], budget
+    mask = (1 << w + 1) - 1
+    return taken, [
+        Polynomial(ring, {tuple([e >> shift & mask for shift in shifts]): c
+                          for e, c in prod})
+        for prod in frontier], budget
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ tests check the package's faster or more uniform paths against them.
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, gcd
+from operator import add
 
 from thresholds.grobner import PolyIdeal, _divides, _fp_generators
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
@@ -330,6 +331,72 @@ def extreme_rays_reference(rows, d: int) -> set:
             if min(values) >= 0:
                 out.add((ray, sum(1 << i for i, v in enumerate(values) if not v)))
     return out
+
+
+# ----------------------------------------------------------------------
+# The product sweep as it stood before exponents were packed into ints:
+# tuple exponents added entry by entry, the level test a max over them.
+# ----------------------------------------------------------------------
+
+def _times_reference(prod, g, q: int, p: int):
+    """Monic prod*g with every term that has an exponent >= q dropped.
+
+    Products are frozensets of (exponent, coefficient) pairs; the result is
+    None when no term survives.
+    """
+    out: dict = {}
+    for eb, cb in g:
+        for ea, ca in prod:
+            exp = tuple(map(add, ea, eb))
+            if max(exp) < q:
+                out[exp] = (out.get(exp, 0) + ca * cb) % p
+    if 0 in out.values():
+        out = {exp: c for exp, c in out.items() if c}
+    if not out:
+        return None
+    inv = pow(out[max(out)], p - 2, p)
+    if inv != 1:
+        out = {exp: c * inv % p for exp, c in out.items()}
+    return frozenset(out.items())
+
+
+def product_sweep_reference(gens, q: int, budget: int,
+                            start: Polynomial | None = None,
+                            steps: int | None = None) -> tuple:
+    """Multiply generator products up degree by degree modulo m^[q] over F_p.
+
+    ``gens`` and ``start``, a monic product to begin from (1 when None),
+    share one F_p ring.  Each degree keeps every monic product that is
+    nonzero modulo m^[q] with the smallest generator index it may still be
+    multiplied by; indices never decrease, so each multiset of generators is
+    formed once, and equal monic products are kept once.  A product costs
+    the number of term pairs it multiplies, charged to ``budget``.  The
+    sweep stops after ``steps`` degrees, or when none is given, before the
+    first degree with no product left.  Returns the number of degrees taken,
+    the products of the last one and the budget left.
+    """
+    ring = gens[0].ring
+    terms = [tuple(g.terms.items()) for g in gens]
+    start = Polynomial.one(ring) if start is None else start
+    frontier = {frozenset(start.terms.items()): 0}
+    taken = 0
+    while steps is None or taken < steps:
+        nxt: dict = {}
+        for prod, first in frontier.items():
+            size = len(prod)
+            for j in range(first, len(terms)):
+                budget -= size * len(terms[j])
+                if budget < 0:
+                    raise BudgetExceededError(
+                        "generator-product sweep exceeded its term budget"
+                    )
+                r = _times_reference(prod, terms[j], q, ring.p)
+                if r is not None and j < nxt.get(r, len(terms)):
+                    nxt[r] = j
+        if not nxt:
+            break
+        frontier, taken = nxt, taken + 1
+    return taken, [Polynomial(ring, dict(prod)) for prod in frontier], budget
 
 
 # ----------------------------------------------------------------------

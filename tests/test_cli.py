@@ -229,13 +229,14 @@ def test_budget_env_caps_the_chain_powers(capsys, monkeypatch):
 
 
 def test_budget_env_caps_the_s_pairs(capsys, monkeypatch):
-    argv = ["tau", "--poly", "y^3 + 2*x^2*y + 2*x^3, 2*y^2 + 2*x^2 + x^3",
-            "--p", "3", "--lambda", "2/3", "--e", "1"]
+    # this tau is a proper ideal, so Buchberger never stops early at (1)
+    argv = ["tau", "--poly", "z^2 + x*y, z^3 + x*y^2",
+            "--p", "2", "--lambda", "3/2", "--e", "1"]
     assert run(argv) == 0
     capsys.readouterr()
     monkeypatch.setenv("THRESHOLDS_BUDGET", "40")
     assert run(argv) == 3
-    # the products of a^2 fit; Buchberger takes more than 40 pairs
+    # the products of a^3 fit; Buchberger takes more than 40 pairs
     assert capsys.readouterr().err == "error: S-pair budget exceeded\n"
 
 

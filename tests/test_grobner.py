@@ -270,6 +270,28 @@ def test_groebner_kernels_match_the_reference(case):
     assert normal_form(f, gens) == normal_form_reference(f, gens)
 
 
+@given(_small_ideals(), st.integers(1, 6))
+def test_a_constant_generator_gives_the_unit_ideal(case, c):
+    gens, _ = case
+    ring = gens[0].ring
+    gens = gens + [Polynomial.constant(ring, 1 + c % (ring.p - 1))]
+    assert groebner_basis(gens) == groebner_basis_reference(gens) == (
+        Polynomial.one(ring),)
+
+
+def test_buchberger_stops_at_the_unit_ideal():
+    # the S-polynomial of (3, 2) reduces to a nonzero constant, so the four
+    # pairs still pending are never taken; the reference takes all six
+    F2 = Ring.prime_field(2, 2)
+    gens = [P(g, F2) for g in ["x^3*y^3 + y^2", "x^3*y^3 + x^3*y + y^3", "y^2 + 1"]]
+    calls = []
+    with mock.patch.object(grobner, "_chain_criterion",
+                           _counting(grobner._chain_criterion, calls)):
+        assert groebner_basis(gens) == (Polynomial.one(F2),)
+    assert [(i, j) for _, _, i, j, _ in calls] == [(2, 1), (3, 2)]
+    assert groebner_basis_reference(gens) == (Polynomial.one(F2),)
+
+
 def test_coprime_pairs_never_reach_the_chain_criterion():
     # the S-polynomial of the two generators leaves y^2 + x, whose leading
     # term is coprime to x^2, so that pair never becomes pending; the chain
@@ -302,8 +324,9 @@ def test_normal_form_multiplies_no_polynomials(monkeypatch):
 
 
 @pytest.mark.parametrize("ring, gens, order", [
+    # the unit ideal: (3, 2) leaves a constant and ends the loop
     (Ring.prime_field(2, 2), ["x^3*y^3 + y^2", "x^3*y^3 + x^3*y + y^3", "y^2 + 1"],
-     [(2, 1), (3, 2), (3, 1), (3, 0), (2, 0), (1, 0)]),
+     [(2, 1), (3, 2)]),
     (Ring.prime_field(3, 3), ["x^3*y*z^3 + y^2", "2*x^3*y^2*z^3 + x*y^3 + x^2"],
      [(1, 0), (2, 1), (3, 0), (4, 2), (2, 0), (3, 1), (4, 1), (4, 0), (3, 2),
       (4, 3)]),
@@ -311,6 +334,8 @@ def test_normal_form_multiplies_no_polynomials(monkeypatch):
      ["x*y^2*z", "3*x^3*y^3*z^3 + 4*x^2*y*z^2 + x^3*y", "y^3*z + z"],
      [(2, 0), (3, 0), (3, 2), (3, 1), (4, 3), (4, 0), (4, 2), (4, 1), (2, 1),
       (1, 0)]),
+    (Ring.prime_field(2, 2), ["x^2*y^2 + y^2", "x^3 + x*y + y^2", "x*y^2 + y^2"],
+     [(2, 0), (2, 1), (3, 2), (1, 0), (3, 0)]),
 ])
 def test_normal_selection_takes_the_newest_pair_on_a_tie(ring, gens, order):
     # the pairs in the order the chain criterion sees them: the smallest

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import nonzero_polynomials, polynomials
-from oracles import frobenius_expand
+from oracles import frobenius_expand, product_sweep_reference
 from thresholds import rings
 from thresholds.rings import (
     BudgetExceededError,
@@ -14,9 +14,11 @@ from thresholds.rings import (
     monomial_coefficient,
     multinomial_exact,
     multinomial_mod_p,
+    parse_generators,
     parse_polynomial,
     power_coefficients,
     power_has_reduced_term,
+    product_sweep,
     render_polynomial,
 )
 
@@ -210,6 +212,66 @@ def test_walk_budget_covers_both_coefficient_reads(monkeypatch):
         monomial_coefficient(f, 12, (12, 12))
     with pytest.raises(BudgetExceededError):
         power_has_reduced_term(f, 12, 13)
+
+
+@st.composite
+def _sweeps(draw):
+    """(gens, q, budget, start, steps): 1-3 generators of 1-4 terms in 1-4
+    variables over F_2..F_7 with entries up to q + 1, q in [2, 64], None or
+    a monic start lifted from the level below (exponents times p, as
+    ``frobenius._levels`` builds it), and steps None or 1-4."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    ring = Ring.prime_field(n, p)
+    q = draw(st.integers(2, 64))
+
+    def terms(top):
+        return st.lists(st.tuples(st.tuples(*[st.integers(0, top)] * n),
+                                  st.integers(1, p - 1)), min_size=1, max_size=4)
+
+    gens = [Polynomial(ring, dict(ts))
+            for ts in draw(st.lists(terms(q + 1), min_size=1, max_size=3))]
+    start = None
+    if draw(st.booleans()):
+        lifted = {tuple(x * p for x in u): c for u, c in draw(terms((q - 1) // p))}
+        inv = ring.coeff_inv(lifted[max(lifted)])
+        start = Polynomial(ring, {u: c * inv for u, c in lifted.items()})
+    steps = draw(st.none() | st.integers(1, 4))
+    return gens, q, draw(st.integers(0, 3000)), start, steps
+
+
+def _sweep(text, p, q, budget=10**6, start=None, steps=None):
+    return parse_generators(text, p), q, budget, start, steps
+
+
+def _sweep_outcome(sweep, case):
+    try:
+        return sweep(*case)
+    except BudgetExceededError:
+        return "budget"
+
+
+@example(_sweep("x^3*y + y^5, x*y^2 + 3*x", 5, 32))  # q a power of two
+# y^15 * y^15 leaves 2q - 2 = 30 in the y slot, which must not reach x's
+@example(_sweep("x^15 + y^15 + x*y, y^15 + x^3", 3, 16, steps=2))
+@example(_sweep("x^8 + y, x*y + y^2", 2, 8))  # x^8 is dropped, but charged
+@example(_sweep("x^8 + y, x*y + y^2", 2, 8, budget=9))
+@example(_sweep("x^2 + 3*x^3, x^5", 7, 20))  # one variable
+@example(_sweep("x^2 + y^3, x*y", 3, 9,  # x + y lifted from q = 3
+                start=parse_polynomial("x^3 + y^3", Ring.prime_field(2, 3))))
+@settings(max_examples=200)
+@given(_sweeps())
+def test_packed_sweep_matches_the_tuple_sweep(case):
+    # the same degrees, the same monic products in the same order, the same
+    # budget left, or the budget exceeded on both
+    assert _sweep_outcome(product_sweep, case) == _sweep_outcome(
+        product_sweep_reference, case)
+
+
+def test_sweep_start_lies_below_q():
+    gens = parse_generators("x + y", 2)
+    with pytest.raises(ValueError):
+        product_sweep(gens, 4, 100, start=parse_polynomial("x^4 + y", gens[0].ring))
 
 
 def test_pow_matches_repeated_multiplication():
