@@ -27,6 +27,7 @@ from thresholds.newton import MonomialIdeal, minimal_points
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
+    Ring,
     budget,
     grevlex_key,
     product_sweep,
@@ -216,13 +217,25 @@ class PolyIdeal:
             return
         gens = _fp_generators([a] if isinstance(a, Polynomial) else a)
         ring = gens[0].ring
-        mono = None
         if all(len(g.terms) == 1 for g in gens):
-            mono = MonomialIdeal(ring.nvars, [next(iter(g.terms)) for g in gens])
-            gens = [Polynomial.monomial(ring, e)
-                    for e in sorted(mono.gens, key=grevlex_key)]
-        self.ring, self.gens, self.monomial = ring, tuple(gens), mono
-        self._gb = None if mono is None else self.gens
+            self._set_monomial(
+                ring, MonomialIdeal(ring.nvars, [next(iter(g.terms)) for g in gens]))
+        else:
+            self.ring, self.gens, self.monomial = ring, tuple(gens), None
+            self._gb = None
+
+    @classmethod
+    def of_monomial(cls, ring: Ring, mono: MonomialIdeal) -> "PolyIdeal":
+        """The ideal of the F_p ring ``ring`` generated by the monomials of
+        ``mono``, whose generators are already minimal."""
+        self = cls.__new__(cls)
+        self._set_monomial(ring, mono)
+        return self
+
+    def _set_monomial(self, ring: Ring, mono: MonomialIdeal):
+        self.ring, self.monomial = ring, mono
+        self.gens = self._gb = tuple(Polynomial.monomial(ring, e)
+                                     for e in sorted(mono.gens, key=grevlex_key))
 
     def groebner(self) -> tuple:
         if self._gb is None:

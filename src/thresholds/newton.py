@@ -2,9 +2,9 @@
 
 The Newton polyhedron of a monomial ideal is ``conv(gens) + R_{>=0}^n``,
 represented implicitly by the generator exponents.  Where a positive ray
-enters it (one exact LP) gives the threshold and the monomial test ideal.
-Its facets come from an exact integer double description, which starts
-from the unit vectors of an orthant that holds the cone of valid
+enters it (one exact LP) gives the threshold.  Its facets, which give the
+monomial test ideal, come from an exact integer double description, which
+starts from the unit vectors of an orthant that holds the cone of valid
 inequalities; the multiplicity is the covolume summed over a triangulation
 of the compact facets.
 """
@@ -40,12 +40,16 @@ def minimal_points(points) -> list:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal stored by its minimal generator exponents."""
+    """Monomial ideal stored by its minimal generator exponents.
+
+    ``minimal=True`` promises that ``gens`` already are those exponents in
+    lex order, as :func:`minimal_points` returns them, and skips that pass.
+    """
 
     n: int
     gens: tuple
 
-    def __init__(self, n: int, gens):
+    def __init__(self, n: int, gens, *, minimal: bool = False):
         gens = [tuple(int(x) for x in g) for g in gens]
         if not gens:
             raise ValueError("the zero ideal is not allowed")
@@ -55,7 +59,9 @@ class MonomialIdeal:
             if any(x < 0 for x in g):
                 raise ValueError(f"negative exponent in generator {g}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", tuple(minimal_points(gens)))
+        if not minimal:
+            gens = minimal_points(gens)
+        object.__setattr__(self, "gens", tuple(gens))
 
     @staticmethod
     def parse(text: str) -> "MonomialIdeal":

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from operator import le, neg
+from operator import add, le, neg
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
 
@@ -559,7 +559,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.ring = ring
-        self.depth = 0  # open parentheses; each costs four stack frames
+        self.depth = 0  # open parentheses; each costs three stack frames
 
     def peek(self):
         return self.tokens[self.i]
@@ -575,62 +575,71 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
 
     def parse_expr(self) -> Polynomial:
-        sign = 1
+        """A signed sum of terms, gathered in one term dict."""
+        out, sign = {}, 1
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
             self.next()
             sign = -1 if val == "-" else 1
-        out = self.parse_term()
-        if sign < 0:
-            out = -out
         while True:
+            for exp, c in self.parse_term().items():
+                out[exp] = out.get(exp, 0) + sign * c
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.parse_term()
-                out = out + rhs if val == "+" else out - rhs
-            else:
-                return out
-
-    def parse_term(self) -> Polynomial:
-        out = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                out = out * self.parse_factor()
-            else:
-                return out
-
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+            if kind != "op" or val not in "+-":
+                return Polynomial(self.ring, out)
             self.next()
-            kind, k, pos = self.next()
-            if kind != "int":
-                raise ParseError("expected integer exponent after '^'", pos)
-            return base**k
-        return base
+            sign = -1 if val == "-" else 1
 
-    def parse_base(self) -> Polynomial:
-        kind, val, pos = self.next()
-        if kind == "int":
-            # allow rational literals a/b over Q
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/" and self.ring.p is None:
-                self.next()
-                kind3, den, pos3 = self.next()
-                if kind3 != "int" or den == 0:
-                    raise ParseError("expected nonzero integer denominator", pos3)
-                return Polynomial.constant(self.ring, Fraction(val, den))
-            return Polynomial.constant(self.ring, val)
-        if kind == "name":
-            try:
-                idx = self.ring.names.index(val)
-            except ValueError:
-                raise ParseError(f"unknown variable {val!r}", pos) from None
-            return Polynomial.variable(self.ring, idx)
+    def parse_term(self) -> dict:
+        """A product of factors, as a term dict.  Integers and variables, each
+        with an optional ``^k``, make one coefficient (reduced by ``pow(c, k,
+        p)`` over F_p) and one exponent vector; only parenthesised factors
+        and rational literals are ``Polynomial``s, multiplied in turn."""
+        p = self.ring.p
+        coeff, exp, poly = 1, [0] * self.ring.nvars, None
+        while True:
+            kind, val, pos = self.next()
+            if kind == "int" and (p is not None or self.peek()[:2] != ("op", "/")):
+                k = self.parse_power()
+                coeff = coeff * val**k if p is None else coeff * pow(val, k, p) % p
+            elif kind == "name":
+                try:
+                    idx = self.ring.names.index(val)
+                except ValueError:
+                    raise ParseError(f"unknown variable {val!r}", pos) from None
+                exp[idx] += self.parse_power()
+            else:
+                factor = self.parse_base(kind, val, pos) ** self.parse_power()
+                if coeff:  # a zero coefficient makes the term zero
+                    poly = factor if poly is None else poly * factor
+            kind, val, _ = self.peek()
+            if kind != "op" or val != "*":
+                break
+            self.next()
+        if poly is None:
+            return {tuple(exp): coeff}
+        return {tuple(map(add, e, exp)): c * coeff for e, c in poly.terms.items()}
+
+    def parse_power(self) -> int:
+        """The k of an optional ``^k`` after a factor, else 1."""
+        kind, val, _ = self.peek()
+        if kind != "op" or val != "^":
+            return 1
+        self.next()
+        kind, k, pos = self.next()
+        if kind != "int":
+            raise ParseError("expected integer exponent after '^'", pos)
+        return k
+
+    def parse_base(self, kind, val, pos) -> Polynomial:
+        """A rational literal a/b over Q or a parenthesised expression, from
+        its first token; any other token there is an error."""
+        if kind == "int":  # a/b over Q: parse_term takes every other integer
+            self.next()
+            kind, den, pos = self.next()
+            if kind != "int" or den == 0:
+                raise ParseError("expected nonzero integer denominator", pos)
+            return Polynomial.constant(self.ring, Fraction(val, den))
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)

@@ -24,11 +24,18 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from itertools import product
+from math import ceil, floor, inf, prod
+from operator import mul
 
 from thresholds.grobner import PolyIdeal, ideal_power
-from thresholds.newton import MonomialIdeal, ray_entry
-from thresholds.rings import Polynomial, frobenius_decompose
+from thresholds.newton import MonomialIdeal, facets
+from thresholds.rings import (
+    BudgetExceededError,
+    Polynomial,
+    budget,
+    frobenius_decompose,
+)
 
 DEFAULT_E_MAX = 5
 ITER_MAX = 40  # fixed-point steps of the principal iteration
@@ -89,8 +96,12 @@ def ascending_chain(a, lam, e_max: int = DEFAULT_E_MAX) -> Iterator[PolyIdeal]:
 def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     """tau(a^lam) for monomial a: monomials u with u+1 interior to lam*P(a).
 
-    For v > 0, t*v is interior to P(a) exactly when t > t0 = ray_entry(a, v),
-    so v is interior to lam*P(a) iff lam*t0 < 1.  No prime appears here.
+    u+1 is interior to lam*P(a) exactly when <w, u+1> > lam*b on every
+    facet <w, .> >= b of P(a) with b > 0 (Hara-Yoshida); no prime appears
+    here.  For each prefix u' = (u_1..u_{n-1}) of the generator box, the
+    facets give the least last coordinate low(u') directly, or an empty
+    column when a facet without x_n is not yet met.  (u', low(u')) is a
+    minimal generator iff no u' - e_j has a column reaching as low.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -98,22 +109,36 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     n = ideal.n
     if lam == 0:
         return MonomialIdeal(n, [(0,) * n])
-    from itertools import product
+    from thresholds import frobenius  # the box budget, loaded by monomial tau only
 
-    # u+1 is interior to lam*P(a) iff u+1 > w for some w in lam*conv(gens),
-    # where w_j <= lam*max_g g_j, so a minimal generator has
+    # u+1 is interior to lam*P(a) iff u+1 > v for some v in lam*conv(gens),
+    # where v_j <= lam*max_g g_j, so a minimal generator has
     # u_j <= floor(lam*max_g g_j): 0 where no generator involves x_j
-    axes = [range(floor(lam * max(g[j] for g in ideal.gens)) + 1)
-            for j in range(n)]
-    gens = []
-    for u in product(*axes):
-        if any(all(x >= y for x, y in zip(u, g)) for g in gens):
-            continue  # already inside a found generator's shadow
-        if lam * ray_entry(ideal, [x + 1 for x in u]) < 1:
-            gens.append(u)
-    if not gens:
-        raise AssertionError("tau search box too small")  # pragma: no cover
-    return MonomialIdeal(n, gens)
+    sides = [floor(lam * max(g[j] for g in ideal.gens)) + 1 for j in range(n - 1)]
+    size, limit = prod(sides), budget(frobenius.DEFAULT_BOX_BUDGET)
+    if size > limit:
+        raise BudgetExceededError(
+            f"tau prefix box of {size} points exceeds budget {limit}")
+    # in integers, with lam = r/s: s*<w, u+1> > r*b, i.e. for the last
+    # coordinate s*w_n*(u_n + 1) > room = r*b - s*sum_{j<n} w_j*(u_j + 1)
+    r, s = lam.numerator, lam.denominator
+    walls = [(r * b - s * sum(w[:-1]), [s * x for x in w[:-1]], s * w[-1])
+             for w, b, _ in facets(list(ideal.gens)) if b > 0]
+    strides = [prod(sides[j + 1:]) for j in range(n - 1)]
+    lows, gens = [], []  # lows[i]: low of the i-th prefix, inf if empty
+    for i, u in enumerate(product(*map(range, sides))):
+        low = 0
+        for c, w, d in walls:
+            room = c - sum(map(mul, w, u))
+            if d:
+                low = max(low, room // d)
+            elif room >= 0:
+                low = inf
+                break
+        lows.append(low)
+        if low < inf and all(lows[i - t] > low for x, t in zip(u, strides) if x):
+            gens.append((*u, low))
+    return MonomialIdeal(n, gens, minimal=True)
 
 
 # ----------------------------------------------------------------------
@@ -185,9 +210,8 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:
     if lam == 0:
         return TauResult(PolyIdeal(Polynomial.one(ring)), True, 0)
     if a.monomial is not None:
-        result = tau_monomial(a.monomial, lam).gens
         return TauResult(
-            PolyIdeal([Polynomial.monomial(ring, u) for u in result]), True, 0)
+            PolyIdeal.of_monomial(ring, tau_monomial(a.monomial, lam)), True, 0)
     if len(a.gens) == 1:
         return _tau_principal(a.gens[0], lam)
     one = Polynomial.one(ring)

@@ -6,14 +6,22 @@ tests check the package's faster or more uniform paths against them.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, gcd
+from math import ceil, floor, gcd
 from operator import add
 
 from thresholds.grobner import PolyIdeal, _divides, _fp_generators
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 from thresholds import grobner
-from thresholds.newton import MonomialIdeal, minimal_points
-from thresholds.rings import BudgetExceededError, Polynomial, Ring, budget
+from thresholds.newton import MonomialIdeal, minimal_points, ray_entry
+from thresholds.rings import (
+    MAX_NESTING,
+    BudgetExceededError,
+    ParseError,
+    Polynomial,
+    Ring,
+    _tokenize,
+    budget,
+)
 
 
 def contains_point(a: MonomialIdeal, q) -> bool:
@@ -67,6 +75,118 @@ def tau_by_slack(ideal: MonomialIdeal, lam) -> MonomialIdeal:
         if _interior_point(ideal, lam, [x + 1 for x in u]):
             gens.append(u)
     return MonomialIdeal(ideal.n, gens)
+
+
+def tau_by_ray_entry(ideal: MonomialIdeal, lam) -> MonomialIdeal:
+    """tau(a^lam): each point u of the generator box not above a generator
+    found so far is one exact LP, ``lam * ray_entry(a, u+1) < 1``."""
+    lam = Fraction(lam)
+    n = ideal.n
+    if lam == 0:
+        return MonomialIdeal(n, [(0,) * n])
+    axes = [range(floor(lam * max(g[j] for g in ideal.gens)) + 1)
+            for j in range(n)]
+    gens = []
+    for u in product(*axes):
+        if any(all(x >= y for x, y in zip(u, g)) for g in gens):
+            continue
+        if lam * ray_entry(ideal, [x + 1 for x in u]) < 1:
+            gens.append(u)
+    return MonomialIdeal(n, gens)
+
+
+class _ReferenceParser:
+    """The polynomial grammar parsed by ``Polynomial`` arithmetic alone:
+    every factor is a ``Polynomial``, raised to its ``^k`` and multiplied
+    into its term."""
+
+    def __init__(self, tokens, ring: Ring):
+        self.tokens, self.i, self.ring, self.depth = tokens, 0, ring, 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def parse_expr(self) -> Polynomial:
+        sign = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.next()
+            sign = -1 if val == "-" else 1
+        out = self.parse_term()
+        if sign < 0:
+            out = -out
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                rhs = self.parse_term()
+                out = out + rhs if val == "+" else out - rhs
+            else:
+                return out
+
+    def parse_term(self) -> Polynomial:
+        out = self.parse_factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "*":
+                self.next()
+                out = out * self.parse_factor()
+            else:
+                return out
+
+    def parse_factor(self) -> Polynomial:
+        base = self.parse_base()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            kind, k, pos = self.next()
+            if kind != "int":
+                raise ParseError("expected integer exponent after '^'", pos)
+            return base**k
+        return base
+
+    def parse_base(self) -> Polynomial:
+        kind, val, pos = self.next()
+        if kind == "int":
+            kind2, val2, _ = self.peek()
+            if kind2 == "op" and val2 == "/" and self.ring.p is None:
+                self.next()
+                kind3, den, pos3 = self.next()
+                if kind3 != "int" or den == 0:
+                    raise ParseError("expected nonzero integer denominator", pos3)
+                return Polynomial.constant(self.ring, Fraction(val, den))
+            return Polynomial.constant(self.ring, val)
+        if kind == "name":
+            try:
+                idx = self.ring.names.index(val)
+            except ValueError:
+                raise ParseError(f"unknown variable {val!r}", pos) from None
+            return Polynomial.variable(self.ring, idx)
+        if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
+            inner = self.parse_expr()
+            kind, val, pos = self.next()
+            if kind != "op" or val != ")":
+                raise ParseError("expected ')'", pos)
+            self.depth -= 1
+            return inner
+        raise ParseError("expected coefficient, variable or '('", pos)
+
+
+def parse_polynomial_reference(text: str, ring: Ring) -> Polynomial:
+    """``rings.parse_polynomial`` through :class:`_ReferenceParser`."""
+    parser = _ReferenceParser(_tokenize(text), ring)
+    out = parser.parse_expr()
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise ParseError("trailing input", pos)
+    return out
 
 
 def frobenius_expand(components: dict, ring: Ring, e: int) -> Polynomial:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import within_seconds
 import thresholds
 import thresholds.frobenius as frobenius
 import thresholds.grobner as grobner
@@ -425,6 +426,25 @@ def test_huge_lambda_exits_3_on_the_term_budget():
     )
     assert done.returncode == 3
     assert done.stderr.startswith("error: product exceeds term budget")
+
+
+def test_a_huge_monomial_lambda_exits_3_on_the_box_budget(capsys):
+    # the tau scan would visit 2*10^20 + 1 prefixes; the box budget refuses
+    code = run(["tau", "--poly", "x^2, y^3", "--p", "2", "--lambda", "1e20"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: tau prefix box of") and err.count("\n") == 1
+
+
+def test_a_large_monomial_lambda_is_answered(capsys):
+    with within_seconds(5):
+        rep = _json(capsys, ["tau", "--poly", "x^2, y^3", "--p", "2",
+                             "--lambda", "1000"])
+    # x^i y^j is in tau iff 3(i+1) + 2(j+1) > 6000, the facet at lambda = 1000
+    low = [(6000 - 3 * (i + 1)) // 2 for i in range(2000)]
+    assert len(rep["generators"]) == 1 + sum(
+        low[i] < low[i - 1] for i in range(1, 2000))
+    assert {"y^2998", "x^1999"} <= set(rep["generators"])
 
 
 def test_deep_parentheses_exit_2_without_a_traceback():

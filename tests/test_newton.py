@@ -192,14 +192,14 @@ def test_ray_entry_rejects_a_ray_of_another_dimension_or_not_positive():
             ray_entry(a, v)
 
 
-# each example runs one LP per undecided point of a box, twice, and a
-# non-m-primary ideal in three variables can leave thousands undecided;
-# 15 examples keep the test to seconds (20 take over 30 s)
-@settings(max_examples=15)
+# the oracle runs one LP per undecided point of a box, and a non-m-primary
+# ideal in three variables can leave thousands undecided; the column scan
+# runs none, so 60 examples take about a second (100 take three)
+@settings(max_examples=60)
 @given(_ideal_and_ray(), st.fractions(Fraction(1, 7), 2, max_denominator=7))
 def test_tau_monomial_matches_the_slack_oracle(ideal_v, lam):
     a, _ = ideal_v
-    # u+1 interior to lam*P(a) iff lam*ray_entry(a, u+1) < 1
+    # u+1 interior to lam*P(a): the facet inequalities against the slack LP
     assert tau_monomial(a, lam) == tau_by_slack(a, lam)
 
 

@@ -1,8 +1,12 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import nonzero_polynomials, polynomials
-from oracles import frobenius_expand, product_sweep_reference
+from helpers import nonzero_polynomials, polynomials, within_seconds
+from oracles import (
+    frobenius_expand,
+    parse_polynomial_reference,
+    product_sweep_reference,
+)
 from thresholds import rings
 from thresholds.rings import (
     BudgetExceededError,
@@ -74,6 +78,55 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("(" * (d + 1) + "x" + ")" * (d + 1), QQ2)
     assert err.value.position == d
+
+
+# strings of the grammar, well formed or not: integers, names (w is unknown
+# to the rings below), ^k, *, + and -, parentheses and a/b literals
+_FACTORS = st.tuples(
+    st.one_of(st.integers(0, 12).map(str), st.sampled_from(["x", "y", "z", "w"]),
+              st.tuples(st.integers(0, 9), st.integers(0, 4)).map(
+                  lambda t: f"{t[0]}/{t[1]}")),
+    st.sampled_from(["", "", "^0", "^1", "^2", "^3"]),
+).map("".join)
+_EXPRESSIONS = st.recursive(_FACTORS, lambda inner: st.one_of(
+    st.lists(inner, min_size=2, max_size=3).map("*".join),
+    st.tuples(inner, st.sampled_from(["+", "-", " + ", " - "]), inner).map("".join),
+    st.tuples(st.sampled_from(["+", "-"]), inner).map("".join),
+    st.tuples(inner, st.sampled_from(["", "^2"])).map(lambda t: f"({t[0]}){t[1]}"),
+), max_leaves=6)
+_TOKEN_SOUP = st.lists(st.sampled_from(
+    ["x", "y", "2", "10", "^", "^2", "*", "+", "-", "(", ")", "/", "3/4", " ", "w"]),
+    max_size=10).map("".join)
+
+
+def _parse_outcome(parse, text, ring):
+    """The parsed polynomial, or the message and position of the ParseError."""
+    try:
+        return parse(text, ring)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=300)
+@given(st.one_of(_EXPRESSIONS, _TOKEN_SOUP),
+       st.sampled_from([Ring.rationals(3), Ring.prime_field(3, 2), F7]))
+@example("2^y", F7)  # each ParseError message once, and a zero coefficient
+@example("x + * y", F7)
+@example("3*w^2", F7)
+@example("x - 3/0*y", Ring.rationals(3))
+@example("(x + y", F7)
+@example("1/2*x", F7)
+@example("-7*(x + y)^2*(x - y) + 14*x^3*y", F7)
+def test_parse_matches_the_polynomial_arithmetic_reference(text, ring):
+    assert (_parse_outcome(parse_polynomial, text, ring)
+            == _parse_outcome(parse_polynomial_reference, text, ring))
+
+
+def test_a_huge_integer_power_over_f_p_parses_at_once():
+    # 2^100000000 is reduced by pow(2, 100000000, 7), never formed
+    with within_seconds(0.5):
+        f = parse_polynomial("2^100000000*x + y", F7)
+    assert f.terms == {(1, 0, 0): pow(2, 10**8, 7), (0, 1, 0): 1}
 
 
 def test_render_deterministic_and_readable():

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import nonzero_polynomials, within_seconds
-from oracles import frobenius_bracket_power
+from helpers import (
+    m_primary_exponent_sets,
+    monomial_exponent_sets,
+    nonzero_polynomials,
+    within_seconds,
+)
+from oracles import frobenius_bracket_power, tau_by_ray_entry
 from thresholds import testideal
 from thresholds.frobenius import fpt_enclosure, nu
 from thresholds.grobner import PolyIdeal
@@ -113,15 +118,36 @@ def test_tau_monomial_formula():
 
 
 def test_tau_monomial_box_is_the_generator_box(monkeypatch):
-    calls = []
-    ray_entry = testideal.ray_entry
-    monkeypatch.setattr(testideal, "ray_entry",
-                        lambda a, v: calls.append(v) or ray_entry(a, v))
+    prefixes = []
+    product = testideal.product
+    monkeypatch.setattr(testideal, "product", lambda *axes: (
+        prefixes.append(u) or u for u in product(*axes)))
     a = MonomialIdeal(3, [(6, 5, 0)])
     assert tau_monomial(a, 2).gens == ((12, 10, 0),)
-    # the box is {0..12} x {0..10} x {0}: no generator involves z
-    assert all(v[2] == 1 for v in calls)
-    assert len(calls) == 12 * 11 + 11
+    # the scan visits each prefix (u_x, u_y) of the box {0..12} x {0..10}
+    # once, and solves its z column
+    assert prefixes == [(i, j) for i in range(13) for j in range(11)]
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """A monomial ideal in 1-3 variables with exponents <= 4, m-primary or
+    not."""
+    n = draw(st.integers(1, 3))
+    sets = m_primary_exponent_sets if draw(st.booleans()) else monomial_exponent_sets
+    return MonomialIdeal(n, draw(sets(n, max_exp=4)))
+
+
+# lambda = k/d in [0, 2] with d <= 7: zero, integers and proper fractions
+_LAMBDAS = st.sampled_from(sorted({Fraction(k, d) for d in range(1, 8)
+                                   for k in range(2 * d + 1)}))
+
+
+@settings(max_examples=200)
+@given(_monomial_ideals(), _LAMBDAS)
+def test_tau_monomial_matches_the_ray_entry_scan(a, lam):
+    # the facet column scan against one exact LP per undecided box point
+    assert tau_monomial(a, lam) == tau_by_ray_entry(a, lam)
 
 
 def test_tau_monomial_matches_chain_tail():
