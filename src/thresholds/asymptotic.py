@@ -22,7 +22,7 @@ from thresholds.newton import (
     extreme_rays,
     monomial_valuation,
 )
-from thresholds.rings import BudgetExceededError
+from thresholds.rings import charge_box
 
 SQRT_DIGITS = 30
 
@@ -103,8 +103,7 @@ class PolyhedralQ:
         rows = list(zip(self.C, self.b))
         # from the last column on, every row with c1 > 0 is met, so u2 stays put
         last = max((ceil(m * bb / c1) for (c1, _), bb in rows if c1 > 0), default=0)
-        if last > 10**7:
-            raise BudgetExceededError("runaway enumeration; is Q proper?")
+        charge_box(last, f"runaway enumeration to column {last} (is Q proper?)")
         gens = []
         for u1 in range(last + 1):
             needs = [(m * bb - c1 * u1, c2) for (c1, c2), bb in rows]
@@ -189,6 +188,7 @@ def estimate_arn(seq, m_max: int, *, start: int = 16) -> AsymptoticEstimate:
     """Sample Arn(a_m)/m at m = start, 2*start, ..., m_max."""
     if m_max < start:
         raise ValueError(f"m_max must be >= {start}")
+    charge_box(m_max, f"m_max = {m_max}")
     samples = []
     m = start
     while m <= m_max:

@@ -106,12 +106,13 @@ def _cmd_newton(args):
 
     ideal = newton.MonomialIdeal.parse(args.monomial)
     lct = newton.lct_monomial(ideal) if ideal.is_proper() else None
+    m_primary = ideal.is_m_primary()
     report = {
         "generators": [list(g) for g in ideal.gens],
         "lct": None if lct is None else fmt_q(lct),
-        "m_primary": ideal.is_m_primary(),
+        "m_primary": m_primary,
     }
-    if ideal.is_m_primary():
+    if m_primary:
         e = report["multiplicity"] = newton.multiplicity_monomial(ideal)
         report["amgm_holds"] = newton.check_amgm(e, lct, ideal.n)
     return report, True
@@ -134,9 +135,10 @@ def _cmd_asym(args):
 
 def _cmd_compare(args):
     from thresholds import redmodp
-    from thresholds.rings import infer_ring, is_prime, parse_polynomial
+    from thresholds.rings import charge_box, infer_ring, is_prime, parse_polynomial
 
     f = parse_polynomial(args.poly, infer_ring(args.poly))
+    charge_box(args.pmax, f"--pmax {args.pmax}")
     primes = [p for p in range(2, args.pmax + 1) if is_prime(p)]
     rows = redmodp.compare_diagonal(f, primes, e_max=args.e)
     if not rows:

@@ -17,16 +17,16 @@ from operator import add
 from thresholds.grobner import PolyIdeal
 from thresholds.lct0 import ThresholdResult
 from thresholds.newton import lct_monomial
+# unused here: bench/run.py reads the two budgets from this module
+from thresholds.rings import DEFAULT_BOX_BUDGET, DEFAULT_PRODUCT_BUDGET
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
-    budget,
+    charge_box,
     monomial_coefficient,
     product_sweep,
 )
 
-DEFAULT_BOX_BUDGET = 10**7
-DEFAULT_PRODUCT_BUDGET = 10**6  # term pairs multiplied by product_sweep
 PE_CAP = 10**8  # fpt_enclosures uses no level p^e above this
 
 
@@ -45,9 +45,7 @@ def _nu_box(exps, n: int, q: int) -> int:
     sum_j u_j q^j.  Adding generator g moves the points with u + g < q
     (the bits of ``mask``) up by ``shift`` = sum_j g_j q^j.
     """
-    limit = budget(DEFAULT_BOX_BUDGET)
-    if q**n > limit:
-        raise BudgetExceededError(f"exponent box {q}^{n} exceeds budget {limit}")
+    charge_box(q**n, f"exponent box {q}^{n}")
     moves = []
     for g in exps:
         if any(x >= q for x in g):
@@ -90,14 +88,13 @@ def _levels(a: PolyIdeal):
     (f^(p^j-1) (f^(p-1))^[1/p])^[1/p^j] = (f^(p^j-1))^[1/p^j] = R.
     """
     ring, p = a.ring, a.ring.p
-    left = budget(DEFAULT_PRODUCT_BUDGET)
-    prev, q = 0, 1
+    left, prev, q = None, 0, 1  # None: the first sweep starts a fresh budget
     for k in count(1):
         q *= p
         if a.monomial is not None:
             level = _nu_box(a.monomial.gens, ring.nvars, q)
         elif len(a.gens) > 1:
-            level = product_sweep(a.gens, q, budget(DEFAULT_PRODUCT_BUDGET))[0]
+            level = product_sweep(a.gens, q)[0]
         elif 0 < prev == q // p - 1:
             level = q - 1  # F-pure: no sweep needed
         else:

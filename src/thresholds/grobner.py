@@ -273,12 +273,9 @@ def ideal_power(gens, r: int) -> list:
 
     The products come from :func:`rings.product_sweep` with a ceiling q above
     every exponent of a degree-r product, so no term is dropped; the sweep
-    is charged to ``frobenius.DEFAULT_PRODUCT_BUDGET``.
+    charges its own fresh ``rings.DEFAULT_PRODUCT_BUDGET``.
     """
-    from thresholds import frobenius  # frobenius imports this module
-
     if r < 1:
         raise ValueError("power must be >= 1")
     q = 1 + r * max(max(exp) for g in gens for exp in g.terms)
-    left = budget(frobenius.DEFAULT_PRODUCT_BUDGET)
-    return product_sweep(gens, q, left, steps=r)[1]
+    return product_sweep(gens, q, steps=r)[1]

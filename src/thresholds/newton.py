@@ -5,8 +5,8 @@ represented implicitly by the generator exponents.  Where a positive ray
 enters it (one exact LP) gives the threshold.  Its facets, which give the
 monomial test ideal, come from an exact integer double description, which
 starts from the unit vectors of an orthant that holds the cone of valid
-inequalities; the multiplicity is the covolume summed over a triangulation
-of the compact facets.
+inequalities; the multiplicity sums determinants over a triangulation of
+the compact facets.
 """
 
 from __future__ import annotations
@@ -281,50 +281,37 @@ def _det(rows) -> int:
 def covolume(points, n: int) -> Fraction:
     """Volume of the orthant complement of conv(points)+orthant.
 
-    The complement is bounded exactly when some point lies on each
-    coordinate axis (the origin lies on all of them).  Otherwise, and for no
-    points, a point of another length than n or a negative coordinate,
-    ``ValueError`` is raised.  The complement is then the union of the cones
-    from the origin over the compact facets (b > 0), so the volume is
-    sum |det(v_1, ..., v_n)| / n! over a pulling triangulation of those
-    facets.  Fraction points are scaled to integers by the lcm of their
-    denominators first, and the volume scaled back.
+    The points are scaled to integers by the lcm of their denominators and
+    read as the generators of a :class:`MonomialIdeal`, whose checks reject
+    no points and points of another length than n or with a negative entry.
+    The complement is empty when the origin is a point, and otherwise
+    bounded exactly when the ideal is m-primary: the volume is then its
+    multiplicity over n!, scaled back.
     """
     points = [tuple(Fraction(x) for x in p) for p in points]
-    if not points or any(len(p) != n for p in points):
-        raise ValueError(f"covolume needs at least one point, each with {n} entries")
     scale = math.lcm(*(x.denominator for p in points for x in p))
-    points = minimal_points([tuple(int(x * scale) for x in p) for p in points])
-    if any(x < 0 for p in points for x in p):
-        raise ValueError("covolume needs points with entries >= 0")
-    for i in range(n):
-        # an axis point is dominated only by a smaller one on the same axis
-        if not any(all(x == 0 for j, x in enumerate(p) if j != i) for p in points):
-            raise ValueError(f"no point on axis {i + 1}: the covolume is infinite")
-    faces = facets(points)
-    sets = [on for _, _, on in faces]
-    total = sum(
-        abs(_det([points[i] for i in simplex]))
-        for _, b, on in faces if b > 0
-        for simplex in _pulling(on, sets)
-    )
-    return Fraction(total, math.factorial(n) * scale**n)
+    ideal = MonomialIdeal(n, [tuple(x * scale for x in p) for p in points])
+    if not ideal.is_proper():
+        return Fraction(0)
+    return Fraction(multiplicity_monomial(ideal), math.factorial(n) * scale**n)
 
 
 def multiplicity_monomial(a: MonomialIdeal) -> int:
     """Hilbert-Samuel multiplicity: n! times the Newton covolume.
 
-    Only defined for m-primary ideals (finite covolume).  The value equals
+    Only defined for m-primary ideals (finite covolume).  The complement of
+    P(a) in the orthant is then the union of the cones from the origin over
+    the compact facets (b > 0), so the multiplicity is sum |det(v_1, ...,
+    v_n)| over a pulling triangulation of those facets.  The value equals
     the multiplicity of the integral closure; on diagonal ideals it is the
     product of the exponents.
     """
     if not a.is_m_primary():
         raise ValueError(f"{a.gens} is not m-primary")
-    vol = covolume(a.gens, a.n)
-    result = vol * math.factorial(a.n)
-    if result.denominator != 1:
-        raise AssertionError(f"multiplicity came out non-integral: {result}")
-    return result.numerator
+    faces = facets(a.gens)
+    sets = [on for _, _, on in faces]
+    return sum(abs(_det([a.gens[i] for i in simplex]))
+               for _, b, on in faces if b > 0 for simplex in _pulling(on, sets))
 
 
 def check_amgm(e: int, lct: Fraction, n: int) -> bool:

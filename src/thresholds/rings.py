@@ -21,6 +21,11 @@ primitives everything else is built on:
   multinomial walk, reduced mod p by the Lucas rule, whose last two counts
   come from a closed-form interval); coefficient extraction and the
   reduced-term test both read it.
+
+Every named budget is read through ``budget`` where it is charged.  This
+module owns four: the term budget of a product, the nodes of the walk, the
+term pairs of ``product_sweep`` and the box budget, which ``charge_box``
+charges for every box or scan whose size comes from the input.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ Exponent = tuple  # tuple[int, ...], one entry per variable
 
 DEFAULT_TERM_BUDGET = 10**7
 WALK_BUDGET = 10**6  # nodes a multinomial walk may visit
+DEFAULT_BOX_BUDGET = 10**7  # points of a box or scan sized by the input
+DEFAULT_PRODUCT_BUDGET = 10**6  # term pairs multiplied by product_sweep
 MAX_NESTING = 100  # parentheses deeper than this are a parse error
 
 
@@ -52,6 +59,14 @@ def budget(default: int) -> int:
     if cap < 1:
         raise ValueError(f"THRESHOLDS_BUDGET must be a positive integer, got {raw!r}")
     return cap
+
+
+def charge_box(size: int, what: str) -> None:
+    """Raise ``BudgetExceededError`` when a box or scan of ``size`` points,
+    named ``what`` in the message, exceeds the box budget."""
+    limit = budget(DEFAULT_BOX_BUDGET)
+    if size > limit:
+        raise BudgetExceededError(f"{what} exceeds budget {limit}")
 
 
 class BudgetExceededError(RuntimeError):
@@ -458,8 +473,8 @@ def _times(prod, g, lift: int, guard: int, p: int):
     return frozenset(out.items())
 
 
-def product_sweep(gens, q: int, budget: int, start: Polynomial | None = None,
-                  steps: int | None = None) -> tuple:
+def product_sweep(gens, q: int, left: int | None = None,
+                  start: Polynomial | None = None, steps: int | None = None) -> tuple:
     """Multiply generator products up degree by degree modulo m^[q] over F_p.
 
     ``gens`` and ``start``, a monic product to begin from (1 when None),
@@ -468,10 +483,11 @@ def product_sweep(gens, q: int, budget: int, start: Polynomial | None = None,
     generator index it may still be multiplied by; indices never decrease,
     so each multiset of generators is formed once, and equal monic products
     are kept once.  A product costs the number of term pairs it multiplies,
-    charged to ``budget``.  The sweep stops after ``steps`` degrees, or when
-    none is given, before the first degree with no product left.  Returns
-    the number of degrees taken, the products of the last one and the budget
-    left.
+    charged to ``left``, the budget left by an earlier sweep, or to a fresh
+    ``DEFAULT_PRODUCT_BUDGET`` when None.  The sweep stops after ``steps``
+    degrees, or when none is given, before the first degree with no product
+    left.  Returns the number of degrees taken, the products of the last one
+    and the budget left.
 
     Exponents are packed on entry into one int each, in slots of w + 1 bits,
     w = (2q).bit_length(), with x_1 in the highest slot, so that int order is
@@ -482,6 +498,7 @@ def product_sweep(gens, q: int, budget: int, start: Polynomial | None = None,
     is dropped before packing, but still charged.
     """
     ring = gens[0].ring
+    left = budget(DEFAULT_PRODUCT_BUDGET) if left is None else left
     start = Polynomial.one(ring) if start is None else start
     if any(max(exp) >= q for exp in start.terms):
         raise ValueError(f"start has an exponent >= q = {q}")
@@ -509,8 +526,8 @@ def product_sweep(gens, q: int, budget: int, start: Polynomial | None = None,
         for prod, first in frontier.items():
             size = len(prod)
             for j in range(first, len(terms)):
-                budget -= size * sizes[j]
-                if budget < 0:
+                left -= size * sizes[j]
+                if left < 0:
                     raise BudgetExceededError(
                         "generator-product sweep exceeded its term budget"
                     )
@@ -524,7 +541,7 @@ def product_sweep(gens, q: int, budget: int, start: Polynomial | None = None,
     return taken, [
         Polynomial(ring, {tuple([e >> shift & mask for shift in shifts]): c
                           for e, c in prod})
-        for prod in frontier], budget
+        for prod in frontier], left
 
 
 # ----------------------------------------------------------------------

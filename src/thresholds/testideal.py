@@ -30,12 +30,7 @@ from operator import mul
 
 from thresholds.grobner import PolyIdeal, ideal_power
 from thresholds.newton import MonomialIdeal, facets
-from thresholds.rings import (
-    BudgetExceededError,
-    Polynomial,
-    budget,
-    frobenius_decompose,
-)
+from thresholds.rings import Polynomial, charge_box, frobenius_decompose
 
 DEFAULT_E_MAX = 5
 ITER_MAX = 40  # fixed-point steps of the principal iteration
@@ -109,16 +104,12 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     n = ideal.n
     if lam == 0:
         return MonomialIdeal(n, [(0,) * n])
-    from thresholds import frobenius  # the box budget, loaded by monomial tau only
-
     # u+1 is interior to lam*P(a) iff u+1 > v for some v in lam*conv(gens),
     # where v_j <= lam*max_g g_j, so a minimal generator has
     # u_j <= floor(lam*max_g g_j): 0 where no generator involves x_j
     sides = [floor(lam * max(g[j] for g in ideal.gens)) + 1 for j in range(n - 1)]
-    size, limit = prod(sides), budget(frobenius.DEFAULT_BOX_BUDGET)
-    if size > limit:
-        raise BudgetExceededError(
-            f"tau prefix box of {size} points exceeds budget {limit}")
+    size = prod(sides)
+    charge_box(size, f"tau prefix box of {size} points")
     # in integers, with lam = r/s: s*<w, u+1> > r*b, i.e. for the last
     # coordinate s*w_n*(u_n + 1) > room = r*b - s*sum_{j<n} w_j*(u_j + 1)
     r, s = lam.numerator, lam.denominator
@@ -275,11 +266,12 @@ def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX) -> JumpingRe
     span = Fraction(span)
     if span <= 0:
         raise ValueError("span must be > 0")
+    points = floor(grid * span)
+    charge_box(points, f"fjump scan of {points} grid points")
     jumps = []
     certified = True
     prev_ideal = tau(a, Fraction(0), e_max=e_max).ideal
-    k = 1
-    while Fraction(k, grid) <= span:
+    for k in range(1, points + 1):  # the grid values k/grid <= span
         res = tau(a, Fraction(k, grid), e_max=e_max)
         certified = certified and res.stabilized
         if not res.ideal.equal(prev_ideal):
@@ -287,5 +279,4 @@ def fjump_scan(a, grid: int, span=1, *, e_max: int = DEFAULT_E_MAX) -> JumpingRe
                 raise AssertionError("test ideals failed to decrease in lambda")
             jumps.append(Fraction(k, grid))
         prev_ideal = res.ideal
-        k += 1
     return JumpingReport(grid, tuple(jumps), certified)

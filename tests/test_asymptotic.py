@@ -19,6 +19,7 @@ from helpers import within_seconds
 from oracles import ray_entry_dual
 from thresholds.lp import OPTIMAL, solve_lp
 from thresholds.newton import MonomialIdeal, _lower_hull, lct_monomial
+from thresholds.rings import BudgetExceededError
 
 
 @given(st.fractions(min_value=0, max_value=10**6), st.integers(5, 25))
@@ -138,6 +139,14 @@ def test_polyhedral_staircase_ends_where_u2_stops_moving():
         # at once instead of after ten million columns
         with pytest.raises(RuntimeError, match="runaway enumeration"):
             PolyhedralQ([(Fraction(1, 10**8), 1)], [1]).ideal(1)
+
+
+def test_box_budget_caps_the_polyhedral_enumeration(monkeypatch):
+    square = PolyhedralQ([(1, 0), (0, 1)], [1, 1])
+    monkeypatch.setenv("THRESHOLDS_BUDGET", "5")
+    assert square.ideal(5).gens == ((5, 5),)  # the last column is 5
+    with pytest.raises(BudgetExceededError, match="runaway enumeration"):
+        square.ideal(6)
 
 
 def test_hyperbola_ideal_matches_bruteforce():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import inspect
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import within_seconds
+from helpers import SRC, within_seconds
 import thresholds
 import thresholds.frobenius as frobenius
 import thresholds.grobner as grobner
@@ -90,7 +91,7 @@ def test_newton_command(capsys):
 
 
 def test_newton_command_computes_lct_and_multiplicity_once(capsys, monkeypatch):
-    calls = {"covolume": 0, "solve_lp": 0}
+    calls = {"multiplicity_monomial": 0, "solve_lp": 0}
 
     def counted(name):
         inner = getattr(newton, name)
@@ -104,7 +105,7 @@ def test_newton_command_computes_lct_and_multiplicity_once(capsys, monkeypatch):
         monkeypatch.setattr(newton, name, counted(name))
     assert run(["newton", "--monomial", "x^2, y^3, x*y^2"]) == 0
     capsys.readouterr()
-    assert calls == {"covolume": 1, "solve_lp": 1}
+    assert calls == {"multiplicity_monomial": 1, "solve_lp": 1}
 
 
 def test_asym_command_floats_only_in_approx(capsys):
@@ -460,6 +461,24 @@ def test_deep_parentheses_exit_2_without_a_traceback():
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fjump", "--poly", "x^2+y^3", "--p", "5", "--grid", "3", "--lambda", "1e9"],
+     "fjump scan of 3000000000 grid points"),
+    (["compare", "--poly", "x^2+y^3", "--pmax", "1000000000"], "--pmax 1000000000"),
+    (["asym", "--mmax", "100000000"], "m_max = 100000000"),
+])
+def test_a_scan_sized_by_the_input_exits_3_on_the_box_budget(argv, message):
+    # each of these scans ran without end before it was charged up front
+    src = str(Path(thresholds.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "THRESHOLDS_BUDGET"}
+    done = subprocess.run(
+        [sys.executable, "-m", "thresholds.cli", *argv],
+        env=dict(env, PYTHONPATH=src), capture_output=True, text=True, timeout=5,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", f"error: {message} exceeds budget 10000000\n")
+
+
 def _modules_after(code: str) -> set:
     """Names of the modules a fresh interpreter has loaded after ``code``."""
     src = str(Path(thresholds.__file__).resolve().parent.parent)
@@ -500,6 +519,51 @@ def test_nu_loads_only_the_modules_it_runs():
         assert f"thresholds.{name}" in loaded
     for name in ("testideal", "redmodp", "asymptotic"):
         assert f"thresholds.{name}" not in loaded
+
+
+@pytest.mark.parametrize("poly", ["x^2, y^3", "x^2 + y^3, x*y"])
+def test_tau_loads_neither_frobenius_nor_lct0(poly):
+    loaded = _modules_after(
+        "import contextlib, io, thresholds.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run(['tau', '--poly', {poly!r}, '--p', '3',"
+        " '--lambda', '1/2', '--e', '2']) == 0"
+    )
+    assert "thresholds.testideal" in loaded
+    assert not {"thresholds.frobenius", "thresholds.lct0"} & loaded
+
+
+_MODULES = {path.stem for path in SRC.glob("*.py")}
+
+
+def _package_imports(node) -> set:
+    """The package modules that an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.module:
+        names = [f"{node.module}.{a.name}" for a in node.names]
+    else:
+        return set()
+    return {n.split(".")[1] for n in names if n.startswith("thresholds.")} & _MODULES
+
+
+def test_library_imports_stand_at_module_level_and_form_no_cycle():
+    """Outside the CLI, which imports each subcommand's modules when it is
+    called, no function imports a package module; so the module-level
+    imports are the whole import graph, and it has no cycle."""
+    late, edges = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        edges[path.stem] = set().union(*map(_package_imports, tree.body))
+        if path.name != "cli.py":
+            late += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if _package_imports(node) and node not in tree.body]
+    assert not late, f"package modules imported inside a function: {late}"
+    assert edges["frobenius"] >= {"grobner", "rings"}  # the edges are read
+    done: set = set()
+    while ready := {m for m in edges.keys() - done if edges[m] <= done}:
+        done |= ready
+    assert done == edges.keys(), f"import cycle among {sorted(edges.keys() - done)}"
 
 
 def test_lct0_imports_no_other_thresholds_module():

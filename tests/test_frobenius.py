@@ -216,7 +216,7 @@ def test_nu_sequence_regression_guard(monkeypatch):
     with pytest.raises(AssertionError, match="level 1 of the nu walk took 5"):
         nu(f, 1)
 
-    def sweep_broken_ideal(gens, q, budget, start=None, steps=None):
+    def sweep_broken_ideal(gens, q, budget=None, start=None, steps=None):
         if len(gens) == 1:
             return product_sweep(gens, q, budget, start, steps)
         return {5: 3, 25: 14}[q], [], budget

@@ -11,7 +11,7 @@ from oracles import (
     groebner_basis_reference,
     normal_form_reference,
 )
-from thresholds import frobenius, grobner
+from thresholds import grobner, rings
 from thresholds.grobner import (
     PolyIdeal,
     _leading,
@@ -212,7 +212,7 @@ def test_ideal_power_matches_combinations(case):
 def test_product_budget_caps_ideal_power(monkeypatch):
     gens = [P("x^2 + y"), P("y^3 + x*y")]
     assert len(ideal_power(gens, 4)) == 5
-    monkeypatch.setattr(frobenius, "DEFAULT_PRODUCT_BUDGET", 20)
+    monkeypatch.setattr(rings, "DEFAULT_PRODUCT_BUDGET", 20)
     with pytest.raises(BudgetExceededError):
         ideal_power(gens, 4)
     with pytest.raises(BudgetExceededError):
