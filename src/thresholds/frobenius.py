@@ -138,7 +138,7 @@ def fpt_enclosures(a):
         return
     if len(gens) == 1 and n == 3 and all(sum(u) == 3 for u in gens[0].terms) \
             and is_smooth_cubic(gens[0]):
-        yield ThresholdResult.exact(fpt_cubic_cone(gens[0]), "cubic-cone")
+        yield ThresholdResult.exact(_cone_fpt(gens[0]), "cubic-cone")
         return
     if p > PE_CAP:
         raise BudgetExceededError("p^e cap leaves no usable e")
@@ -220,11 +220,22 @@ def is_smooth_cubic(f: Polynomial) -> bool:
     return _rank_mod_p(rows, p) == len(col)
 
 
-def is_ordinary_cubic(f: Polynomial) -> bool:
-    """Ordinarity of the plane cubic: coefficient of (xyz)^{p-1} in f^{p-1}.
+def _cone_fpt(f: Polynomial) -> Fraction:
+    """Threshold of the cone over the smooth plane cubic f, unchecked: 1 when
+    the curve is ordinary ((xyz)^{p-1} has a nonzero coefficient in f^{p-1}),
+    else 1 - 1/p.  Past the walk budget nu(1) = p - 1 decides: f^{p-1} has
+    degree 3(p-1), so (xyz)^{p-1} is its one monomial with exponents < p."""
+    p = f.ring.p
+    try:
+        ordinary = monomial_coefficient(f, p - 1, (p - 1, p - 1, p - 1)) != 0
+    except BudgetExceededError:
+        ordinary = nu(f, 1) == p - 1
+    return Fraction(1) if ordinary else Fraction(p - 1, p)
 
-    The curve must be smooth (:func:`is_smooth_cubic`); a singular cubic
-    raises ``ValueError``.
+
+def fpt_cubic_cone(f: Polynomial) -> Fraction:
+    """Threshold of the cone over the plane cubic f = 0 over F_p, which must
+    be smooth (:func:`is_smooth_cubic`); a singular cubic raises ``ValueError``.
     """
     if f.ring.p is None:
         raise ValueError("cubic must live over F_p")
@@ -232,16 +243,12 @@ def is_ordinary_cubic(f: Polynomial) -> bool:
         raise ValueError("cubic must have exactly 3 variables")
     if f.is_zero() or any(sum(exp) != 3 for exp in f.terms):
         raise ValueError("polynomial is not homogeneous of degree 3")
-    p = f.ring.p
     if not is_smooth_cubic(f):
-        raise ValueError(f"the cubic curve is singular over F_{p}; "
+        raise ValueError(f"the cubic curve is singular over F_{f.ring.p}; "
                          "ordinarity needs a smooth plane cubic")
-    c = monomial_coefficient(f, p - 1, (p - 1, p - 1, p - 1))
-    return c != 0
+    return _cone_fpt(f)
 
 
-def fpt_cubic_cone(f: Polynomial) -> Fraction:
-    """Threshold of the cone: 1 when the curve is ordinary, else 1 - 1/p."""
-    if is_ordinary_cubic(f):
-        return Fraction(1)
-    return Fraction(f.ring.p - 1, f.ring.p)
+def is_ordinary_cubic(f: Polynomial) -> bool:
+    """Ordinarity of the smooth plane cubic f = 0 (see :func:`fpt_cubic_cone`)."""
+    return fpt_cubic_cone(f) == 1

@@ -1,11 +1,12 @@
 """Characteristic-zero log canonical thresholds for closed-form families.
 
-Only the families with known closed forms are computed: diagonal forms,
-homogeneous polynomials with isolated singularity, and nonsingular
-subschemes.  A plane node is ``HomogeneousIsolated(2, 2)``, with threshold 1;
-monomial ideals go through :func:`thresholds.newton.lct_monomial`.  Anything
-else raises ``ValueError``; computing a general threshold would need a log
-resolution, which is out of scope.
+Only the families with known closed forms are computed, each by a function
+of its data: diagonal forms, homogeneous polynomials with isolated
+singularity, and nonsingular subschemes.  A plane node is
+``lct_homogeneous_isolated(2, 2)``, with threshold 1; monomial ideals go
+through :func:`thresholds.newton.lct_monomial`.  Bad data raises
+``ValueError``; computing a general threshold would need a log resolution,
+which is out of scope.
 
 This module imports no other ``thresholds`` module.
 """
@@ -14,42 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class Diagonal:
-    """x_1^{a_1} + ... + x_n^{a_n}."""
-
-    exponents: tuple
-
-    def __post_init__(self):
-        exps = tuple(int(a) for a in self.exponents)
-        if not exps or any(a < 1 for a in exps):
-            raise ValueError("diagonal exponents must be >= 1")
-        object.__setattr__(self, "exponents", exps)
-
-
-@dataclass(frozen=True)
-class HomogeneousIsolated:
-    """Homogeneous of degree d in n variables, isolated singularity at 0."""
-
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError("need n >= 1 and d >= 1")
-
-
-@dataclass(frozen=True)
-class SmoothSubscheme:
-    """Ideal of a nonsingular subscheme of pure codimension r."""
-
-    codim: int
-
-    def __post_init__(self):
-        if self.codim < 1:
-            raise ValueError("codimension must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -86,16 +51,25 @@ class ThresholdResult:
         return self.hi - self.lo
 
 
-def lct_closed_form(family) -> ThresholdResult:
-    """Closed-form log canonical threshold at the origin for a catalog family."""
-    if isinstance(family, Diagonal):
-        total = sum(Fraction(1, a) for a in family.exponents)
-        return ThresholdResult.exact(min(Fraction(1), total))
-    if isinstance(family, HomogeneousIsolated):
-        return ThresholdResult.exact(min(Fraction(1), Fraction(family.n, family.d)))
-    if isinstance(family, SmoothSubscheme):
-        return ThresholdResult.exact(Fraction(family.codim))
-    raise ValueError(f"no closed form for {family!r}")
+def lct_closed_form(exponents) -> Fraction:
+    """Diagonal x_1^{a_1} + ... + x_n^{a_n}: min(1, sum 1/a_i)."""
+    if not exponents or min(exponents) < 1:
+        raise ValueError("diagonal exponents must be >= 1")
+    return min(Fraction(1), sum(Fraction(1, a) for a in exponents))
+
+
+def lct_homogeneous_isolated(n: int, d: int) -> Fraction:
+    """Form of degree d in n variables, isolated singularity: min(1, n/d)."""
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    return min(Fraction(1), Fraction(n, d))
+
+
+def lct_smooth_subscheme(codim: int) -> Fraction:
+    """Ideal of a nonsingular subscheme of pure codimension codim: codim."""
+    if codim < 1:
+        raise ValueError("codimension must be >= 1")
+    return Fraction(codim)
 
 
 def truncation_bound(lct_f: Fraction, n: int, N: int) -> tuple:

@@ -16,7 +16,7 @@ from itertools import islice
 from math import prod
 
 from thresholds.frobenius import fpt_enclosures
-from thresholds.lct0 import Diagonal, ThresholdResult, lct_closed_form
+from thresholds.lct0 import ThresholdResult, lct_closed_form
 from thresholds.rings import Polynomial, Ring, is_prime
 
 EQUAL = "equal"
@@ -102,12 +102,12 @@ def compare_diagonal(f: Polynomial, primes, *, e_max: int = 3) -> list:
         raise ValueError(_NOT_DIAGONAL)
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    fam = Diagonal(tuple(exponents.values()))
-    lct0 = lct_closed_form(fam).value
-    modulus = prod(fam.exponents)
+    exps = tuple(exponents.values())
+    lct0 = lct_closed_form(exps)
+    modulus = prod(exps)
     rows = []
     for p in primes:
-        if any(a % p == 0 for a in fam.exponents):
+        if any(a % p == 0 for a in exps):
             continue
         if p % modulus == 1:
             row = ComparisonRow(p, ThresholdResult.exact(lct0), lct0)

@@ -30,9 +30,16 @@ from operator import mul
 
 from thresholds.grobner import PolyIdeal, ideal_power
 from thresholds.newton import MonomialIdeal, facets
-from thresholds.rings import Polynomial, charge_box, frobenius_decompose
+from thresholds.rings import (
+    BudgetExceededError,
+    Polynomial,
+    budget,
+    charge_box,
+    frobenius_decompose,
+)
 
 DEFAULT_E_MAX = 5
+DEFAULT_GENERATOR_BUDGET = 10**6  # minimal generators a monomial tau may keep
 ITER_MAX = 40  # fixed-point steps of the principal iteration
 
 
@@ -116,6 +123,7 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     walls = [(r * b - s * sum(w[:-1]), [s * x for x in w[:-1]], s * w[-1])
              for w, b, _ in facets(list(ideal.gens)) if b > 0]
     strides = [prod(sides[j + 1:]) for j in range(n - 1)]
+    limit = budget(DEFAULT_GENERATOR_BUDGET)
     lows, gens = [], []  # lows[i]: low of the i-th prefix, inf if empty
     for i, u in enumerate(product(*map(range, sides))):
         low = 0
@@ -128,6 +136,8 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
                 break
         lows.append(low)
         if low < inf and all(lows[i - t] > low for x, t in zip(u, strides) if x):
+            if len(gens) == limit:
+                raise BudgetExceededError(f"tau exceeds generator budget {limit}")
             gens.append((*u, low))
     return MonomialIdeal(n, gens, minimal=True)
 

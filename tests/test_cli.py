@@ -17,6 +17,7 @@ import thresholds
 import thresholds.frobenius as frobenius
 import thresholds.grobner as grobner
 import thresholds.newton as newton
+import thresholds.testideal as testideal
 from thresholds.cli import _COMMANDS, build_parser, fmt_q, run
 from thresholds.rings import Ring, parse_polynomial, render_polynomial
 
@@ -435,6 +436,15 @@ def test_a_huge_monomial_lambda_exits_3_on_the_box_budget(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: tau prefix box of") and err.count("\n") == 1
+
+
+def test_a_monomial_tau_past_the_generator_budget_exits_3(capsys, monkeypatch):
+    # tau((x^2, y^3)^10) has more than five minimal generators
+    monkeypatch.setattr(testideal, "DEFAULT_GENERATOR_BUDGET", 5)
+    code = run(["tau", "--poly", "x^2, y^3", "--p", "2", "--lambda", "10"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: tau exceeds generator budget 5\n"
 
 
 def test_a_large_monomial_lambda_is_answered(capsys):

@@ -2,11 +2,11 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from helpers import nonzero_polynomials, src_uses
 from oracles import in_frobenius_power, is_smooth_cubic_reference
-from thresholds import frobenius
+from thresholds import frobenius, rings
 from thresholds.frobenius import (
     fpt_cubic_cone,
     fpt_enclosure,
@@ -21,6 +21,7 @@ from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
     Ring,
+    monomial_coefficient,
     parse_polynomial,
     power_has_reduced_term,
     product_sweep,
@@ -383,6 +384,37 @@ def test_smooth_cubic_rank_test_matches_groebner(f):
     else:
         with pytest.raises(ValueError, match="singular"):
             is_ordinary_cubic(f)
+
+
+@st.composite
+def _smooth_cubics(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=10, max_size=10))
+    f = Polynomial(Ring.prime_field(3, p), dict(zip(_CUBIC_MONOMIALS, coeffs)))
+    assume(is_smooth_cubic(f))
+    return f
+
+
+@given(_smooth_cubics())
+def test_cubic_ordinarity_past_the_walk_budget_reads_the_first_nu_level(f):
+    p = f.ring.p
+    walk = monomial_coefficient(f, p - 1, (p - 1, p - 1, p - 1)) != 0
+    levels = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "WALK_BUDGET", 1)
+        mp.setattr(frobenius, "nu", lambda *args: levels.append(args) or nu(*args))
+        assert is_ordinary_cubic(f) == walk
+    assert levels == [(f, 1)]  # the walk ran out, and nu(1) = p - 1 decided
+
+
+def test_fpt_enclosure_checks_a_smooth_cubic_once(monkeypatch):
+    calls = []
+    check = frobenius.is_smooth_cubic
+    monkeypatch.setattr(frobenius, "is_smooth_cubic",
+                        lambda f: calls.append(f) or check(f))
+    f = parse_polynomial("x^3+y^3+z^3", Ring.prime_field(3, 7))
+    assert fpt_enclosure(f, 1).method == "cubic-cone"
+    assert len(calls) == 1
 
 
 def test_non_fermat_cubic():

@@ -4,35 +4,34 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thresholds.lct0 import (
-    Diagonal,
-    HomogeneousIsolated,
-    SmoothSubscheme,
     ThresholdResult,
     lct_closed_form,
     lct_general_combination,
+    lct_homogeneous_isolated,
+    lct_smooth_subscheme,
     truncation_bound,
 )
 from thresholds.newton import MonomialIdeal, lct_monomial
 
 
 def test_diagonal_closed_form():
-    assert lct_closed_form(Diagonal((2, 3))).value == Fraction(5, 6)
-    assert lct_closed_form(Diagonal((2, 2, 2))).value == 1  # clamped at 1
-    assert lct_closed_form(Diagonal((5,))).value == Fraction(1, 5)
+    assert lct_closed_form((2, 3)) == Fraction(5, 6)
+    assert lct_closed_form((2, 2, 2)) == 1  # clamped at 1
+    assert lct_closed_form((5,)) == Fraction(1, 5)
 
 
 def test_diagonal_with_unit_exponent_is_one():
-    assert lct_closed_form(Diagonal((1, 7, 9))).value == 1
+    assert lct_closed_form((1, 7, 9)) == 1
 
 
 def test_homogeneous_isolated():
-    assert lct_closed_form(HomogeneousIsolated(3, 3)).value == 1
-    assert lct_closed_form(HomogeneousIsolated(2, 5)).value == Fraction(2, 5)
+    assert lct_homogeneous_isolated(3, 3) == 1
+    assert lct_homogeneous_isolated(2, 5) == Fraction(2, 5)
 
 
 def test_smooth_subscheme_and_node():
-    assert lct_closed_form(SmoothSubscheme(2)).value == 2
-    assert lct_closed_form(HomogeneousIsolated(2, 2)).value == 1  # a node
+    assert lct_smooth_subscheme(2) == 2
+    assert lct_homogeneous_isolated(2, 2) == 1  # a node
 
 
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=4))
@@ -40,18 +39,25 @@ def test_diagonal_family_agrees_with_monomial_ideal(exps):
     n = len(exps)
     gens = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(exps)]
     ideal_lct = lct_monomial(MonomialIdeal(n, gens))
-    assert lct_closed_form(Diagonal(tuple(exps))).value == min(Fraction(1), ideal_lct)
+    assert lct_closed_form(tuple(exps)) == min(Fraction(1), ideal_lct)
 
 
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=4))
 def test_outputs_in_range(exps):
-    value = lct_closed_form(Diagonal(tuple(exps))).value
+    value = lct_closed_form(tuple(exps))
     assert 0 < value <= 1  # principal-ideal families stay at or below 1
 
 
-def test_unsupported_family():
-    with pytest.raises(ValueError, match="no closed form for"):
-        lct_closed_form(object())
+@pytest.mark.parametrize("call,message", [
+    (lambda: lct_closed_form(()), "diagonal exponents must be >= 1"),
+    (lambda: lct_closed_form((2, 0)), "diagonal exponents must be >= 1"),
+    (lambda: lct_homogeneous_isolated(0, 3), "need n >= 1 and d >= 1"),
+    (lambda: lct_homogeneous_isolated(2, 0), "need n >= 1 and d >= 1"),
+    (lambda: lct_smooth_subscheme(0), "codimension must be >= 1"),
+])
+def test_closed_forms_reject_bad_data(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_truncation_bound_nested_in_N():
