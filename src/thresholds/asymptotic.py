@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt, lcm
+from math import isqrt, lcm, prod
 
 from thresholds.newton import (
     MonomialIdeal,
     diagonal_entry_min,
     extreme_rays,
+    lattice_generators,
     monomial_valuation,
 )
 from thresholds.rings import charge_box
@@ -80,41 +81,37 @@ class PolyhedralQ:
     """a_m = monomials in the m-fold dilate of Q = {u >= 0 : C u >= b}.
 
     Rows of C must be nonnegative and b positive, so Q is an unbounded
-    convex region avoiding the origin.  Ideal enumeration is implemented
-    for two variables only; the limits are exact in any dimension.
+    convex region avoiding the origin.  Ideals and limits are exact in any
+    dimension: ``newton.lattice_generators`` gives the ideals.
     """
 
     def __init__(self, C, b):
-        self.C = [tuple(Fraction(x) for x in row) for row in C]
-        self.b = [Fraction(x) for x in b]
-        if not self.C or len(self.C) != len(self.b):
+        C = [[Fraction(x) for x in row] for row in C]
+        b = [Fraction(x) for x in b]
+        if not C or len(C) != len(b):
             raise ValueError("constraint shape mismatch")
-        self.n = len(self.C[0])
-        if any(x < 0 for row in self.C for x in row) or any(x <= 0 for x in self.b):
+        self.n = len(C[0])
+        if any(x < 0 for row in C for x in row) or any(x <= 0 for x in b):
             raise ValueError("need C >= 0 and b > 0")
-        if not all(any(row) for row in self.C):
+        if not all(any(row) for row in C):
             raise ValueError("a zero row of C makes Q empty")
+        # each row (c, b) times the lcm of its denominators: integers
+        self.rows = [([int(x * s) for x in c], int(bb * s)) for c, bb in zip(C, b)
+                     for s in [lcm(*(x.denominator for x in (*c, bb)))]]
 
     def ideal(self, m: int) -> MonomialIdeal:
         if m < 1:
             raise ValueError("m must be >= 1")
-        if self.n != 2:
-            raise ValueError("enumeration implemented for n = 2 only")
-        rows = list(zip(self.C, self.b))
-        # from the last column on, every row with c1 > 0 is met, so u2 stays put
-        last = max((ceil(m * bb / c1) for (c1, _), bb in rows if c1 > 0), default=0)
+        rows = [(c, m * bb) for c, bb in self.rows]
+        # lowering a u_j > ceil(m*b/c_j) keeps every row with c_j > 0 met
+        sides = [1 + max((-(-mb // c[j]) for c, mb in rows if c[j]), default=0)
+                 for j in range(self.n - 1)]
+        last = prod(sides) - 1
         charge_box(last, f"runaway enumeration to column {last} (is Q proper?)")
-        gens = []
-        for u1 in range(last + 1):
-            needs = [(m * bb - c1 * u1, c2) for (c1, c2), bb in rows]
-            if any(need > 0 and c2 == 0 for need, c2 in needs):
-                continue
-            lo = max((need / c2 for need, c2 in needs if need > 0), default=0)
-            gens.append((u1, ceil(lo)))
-        return MonomialIdeal(2, gens)
+        return MonomialIdeal(self.n, lattice_generators(rows, sides), minimal=True)
 
     def arn_limit(self) -> tuple:
-        t = max(bb / sum(row) for row, bb in zip(self.C, self.b))
+        t = max(Fraction(bb, sum(c)) for c, bb in self.rows)
         return t, t
 
     def val_limit(self, v) -> tuple:
@@ -123,10 +120,7 @@ class PolyhedralQ:
             raise ValueError("need n weights, each >= 0")
         # v >= 0 is bounded below on Q, so its minimum sits at a vertex; the
         # vertices u/t are the rays with t > 0 of {(u, t) >= 0 : C u - t b >= 0}
-        rows = []
-        for row, bb in zip(self.C, self.b):
-            scale = lcm(*(x.denominator for x in row), bb.denominator)
-            rows.append(tuple(int(x * scale) for x in row) + (int(-bb * scale),))
+        rows = [(*c, -bb) for c, bb in self.rows]
         w = min(
             sum(x * y for x, y in zip(v, ray)) / ray[-1]
             for ray, _ in extreme_rays(rows, self.n + 1) if ray[-1] > 0

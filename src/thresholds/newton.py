@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from thresholds.lp import OPTIMAL, solve_lp
 from thresholds.rings import parse_generators
@@ -167,6 +169,27 @@ def monomial_valuation(v, a: MonomialIdeal) -> Fraction:
     if any(x < 0 for x in v):
         raise ValueError("monomial valuations require v >= 0")
     return min(sum(x * y for x, y in zip(g, v)) for g in a.gens)
+
+
+def lattice_generators(rows, sides):
+    """Minimal generators, in lex order, of {u in N^n : <w, u> >= c for every
+    integer row (w, c), w >= 0}, whose first n - 1 coordinates lie in the box
+    u_j < sides[j].  A prefix u' of the box is kept, with the least last
+    coordinate low(u') the rows allow, iff no u' - e_j reaches as low."""
+    strides = [math.prod(sides[j + 1:]) for j in range(len(sides))]
+    lows = []  # lows[i]: low of the i-th prefix, inf if a row without x_n is unmet
+    for i, u in enumerate(product(*map(range, sides))):
+        low = 0
+        for w, c in rows:
+            need = c - sum(map(mul, w, u))  # u stops short of w_n
+            if w[-1]:
+                low = max(low, -(-need // w[-1]))
+            elif need > 0:
+                low = math.inf
+                break
+        lows.append(low)
+        if low < math.inf and all(lows[i - t] > low for x, t in zip(u, strides) if x):
+            yield (*u, low)
 
 
 # ----------------------------------------------------------------------

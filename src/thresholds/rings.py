@@ -34,7 +34,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 from operator import add, le, neg
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
@@ -44,6 +44,8 @@ WALK_BUDGET = 10**6  # nodes a multinomial walk may visit
 DEFAULT_BOX_BUDGET = 10**7  # points of a box or scan sized by the input
 DEFAULT_PRODUCT_BUDGET = 10**6  # term pairs multiplied by product_sweep
 MAX_NESTING = 100  # parentheses deeper than this are a parse error
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981  # least strong pseudoprime to PRIME_BASES
 
 
 def budget(default: int) -> int:
@@ -82,17 +84,29 @@ class ParseError(ValueError):
 
 
 def is_prime(p: int) -> bool:
+    """Miller-Rabin to the 13 prime bases 2..41, exact below PSI_13 (Sorenson
+    and Webster, Math. Comp. 2017); at or above it, trial division, charged
+    to the box budget first."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    if p >= PSI_13:
+        root = isqrt(p)
+        charge_box(root // 2, f"trial division of {p}")
+        return all(p % d for d in range(PRIME_BASES[-1] + 2, root + 1, 2))
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * d, d odd
+    for a in PRIME_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import ceil, floor, inf, prod
-from operator import mul
+from itertools import islice
+from math import ceil, floor, prod
 
 from thresholds.grobner import PolyIdeal, ideal_power
-from thresholds.newton import MonomialIdeal, facets
+from thresholds.newton import MonomialIdeal, facets, lattice_generators
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
@@ -100,10 +99,8 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
 
     u+1 is interior to lam*P(a) exactly when <w, u+1> > lam*b on every
     facet <w, .> >= b of P(a) with b > 0 (Hara-Yoshida); no prime appears
-    here.  For each prefix u' = (u_1..u_{n-1}) of the generator box, the
-    facets give the least last coordinate low(u') directly, or an empty
-    column when a facet without x_n is not yet met.  (u', low(u')) is a
-    minimal generator iff no u' - e_j has a column reaching as low.
+    here.  ``newton.lattice_generators`` scans the generator box for the
+    minimal generators of the integer form of those inequalities.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -117,28 +114,14 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     sides = [floor(lam * max(g[j] for g in ideal.gens)) + 1 for j in range(n - 1)]
     size = prod(sides)
     charge_box(size, f"tau prefix box of {size} points")
-    # in integers, with lam = r/s: s*<w, u+1> > r*b, i.e. for the last
-    # coordinate s*w_n*(u_n + 1) > room = r*b - s*sum_{j<n} w_j*(u_j + 1)
+    # with lam = r/s: s*<w, u+1> > r*b, i.e. s*<w, u> >= r*b + 1 - s*sum(w)
     r, s = lam.numerator, lam.denominator
-    walls = [(r * b - s * sum(w[:-1]), [s * x for x in w[:-1]], s * w[-1])
-             for w, b, _ in facets(list(ideal.gens)) if b > 0]
-    strides = [prod(sides[j + 1:]) for j in range(n - 1)]
+    rows = [([s * x for x in w], r * b + 1 - s * sum(w))
+            for w, b, _ in facets(list(ideal.gens)) if b > 0]
     limit = budget(DEFAULT_GENERATOR_BUDGET)
-    lows, gens = [], []  # lows[i]: low of the i-th prefix, inf if empty
-    for i, u in enumerate(product(*map(range, sides))):
-        low = 0
-        for c, w, d in walls:
-            room = c - sum(map(mul, w, u))
-            if d:
-                low = max(low, room // d)
-            elif room >= 0:
-                low = inf
-                break
-        lows.append(low)
-        if low < inf and all(lows[i - t] > low for x, t in zip(u, strides) if x):
-            if len(gens) == limit:
-                raise BudgetExceededError(f"tau exceeds generator budget {limit}")
-            gens.append((*u, low))
+    gens = list(islice(lattice_generators(rows, sides), limit + 1))
+    if len(gens) > limit:
+        raise BudgetExceededError(f"tau exceeds generator budget {limit}")
     return MonomialIdeal(n, gens, minimal=True)
 
 
@@ -147,8 +130,6 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
 # ----------------------------------------------------------------------
 
 def _multiplicative_order(p: int, d: int) -> int:
-    if d == 1:
-        return 1
     b, x = 1, p % d
     while x != 1:
         x = x * p % d

@@ -6,7 +6,7 @@ tests check the package's faster or more uniform paths against them.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isqrt
 from operator import add
 
 from thresholds.grobner import PolyIdeal, _divides, _fp_generators
@@ -656,3 +656,8 @@ def is_smooth_cubic_reference(f: Polynomial) -> bool:
             for exp, c in f.terms.items() if exp[i]}))
     leads = [_leading_reference(g)[0] for g in groebner_basis_reference(gens)]
     return all(any(lead[i] == sum(lead) for lead in leads) for i in range(3))
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """n >= 2 with no divisor d, 2 <= d <= sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import ceil
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,9 +98,6 @@ def test_polyhedral_validation():
     for v in ((-1, 1), (1, 1, 1)):
         with pytest.raises(ValueError):
             seq.val_limit(v)  # unbounded below, or the wrong dimension
-    with pytest.raises(ValueError, match="n = 2 only"):
-        PolyhedralQ([(1, 1, 1)], [1]).ideal(1)  # malformed input, not a missing feature
-
 
 
 def test_polyhedral_ideal_rejects_m_below_1():
@@ -118,6 +117,20 @@ def _region_and_weight(draw):
     rhs = st.one_of(st.integers(1, 5), st.fractions(Fraction(1, 3), 5, max_denominator=3))
     b = draw(st.lists(rhs, min_size=len(C), max_size=len(C)))
     return C, b, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@given(_region_and_weight(), st.integers(1, 4))
+def test_polyhedral_ideal_matches_the_box_scan(region, m):
+    # every coordinate of a minimal generator is at most max_i ceil(m*b_i/c_ij)
+    # over the rows with c_ij > 0, so the box of those sides holds them all
+    C, b, _ = region
+    n = len(C[0])
+    sides = [max((ceil(m * bb / Fraction(row[j])) for row, bb in zip(C, b) if row[j]),
+                 default=0) + 1 for j in range(n)]
+    points = [u for u in product(*map(range, sides))
+              if all(sum(Fraction(x) * y for x, y in zip(row, u)) >= m * bb
+                     for row, bb in zip(C, b))]
+    assert PolyhedralQ(C, b).ideal(m) == MonomialIdeal(n, points)
 
 
 @given(_region_and_weight())

@@ -73,3 +73,25 @@ def test_reference_job_passes_its_check(bench, workload, argv):
     assert rc == 0
     verdict = check.check(argv, json.loads(out.getvalue()), refs.get(json.dumps(argv)))
     assert verdict == check.CHECKED
+
+
+@pytest.mark.parametrize("workload", ["monomial", "principal", "ideal"])
+def test_every_catalogue_job_passes_its_check(bench, workload, monkeypatch):
+    # the benchmark draws a sample of these per seed; here each job runs once
+    monkeypatch.delenv("THRESHOLDS_BUDGET", raising=False)
+    check = bench["check"]
+    reference = json.loads((BENCH / "reference.json").read_text())
+    ranked, refs = reference["catalogue"][workload], reference["answers"][workload]
+    failed = []
+    for argv in ranked["always"] + ranked["blocks"]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.run(argv + ["--format", "json"])
+        try:
+            verdict = rc == 0 and check.check(
+                argv, json.loads(out.getvalue()), refs.get(json.dumps(argv)))
+        except check.WrongAnswer as exc:
+            verdict = str(exc)
+        if verdict != check.CHECKED:
+            failed.append((argv, rc, verdict))
+    assert not failed

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import nonzero_polynomials, polynomials, within_seconds
 from oracles import (
     frobenius_expand,
+    is_prime_by_trial_division,
     parse_polynomial_reference,
     product_sweep_reference,
 )
@@ -15,6 +16,7 @@ from thresholds.rings import (
     Ring,
     frobenius_decompose,
     grevlex_key,
+    is_prime,
     monomial_coefficient,
     multinomial_exact,
     multinomial_mod_p,
@@ -30,6 +32,20 @@ QQ2 = Ring.rationals(2)
 F5 = Ring.prime_field(2, 5)
 F7 = Ring.prime_field(3, 7)
 F31 = Ring.prime_field(3, 31)
+
+
+def test_is_prime_is_exact_and_charges_trial_division(monkeypatch):
+    monkeypatch.delenv("THRESHOLDS_BUDGET", raising=False)
+    assert all(is_prime(n) == is_prime_by_trial_division(n) for n in range(10**5))
+    # the least strong pseudoprimes to the prime bases up to 7, 31 and 37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    with within_seconds(1):
+        assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+    psi_13 = 1287836182261 * 2575672364521
+    assert psi_13 == rings.PSI_13
+    with pytest.raises(BudgetExceededError, match="trial division"):
+        is_prime(psi_13)
 
 
 def test_ring_constructors_and_names():

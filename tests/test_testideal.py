@@ -10,7 +10,7 @@ from helpers import (
     within_seconds,
 )
 from oracles import frobenius_bracket_power, tau_by_ray_entry
-from thresholds import testideal
+from thresholds import newton, testideal
 from thresholds.frobenius import fpt_enclosure, nu
 from thresholds.grobner import PolyIdeal
 from thresholds.newton import MonomialIdeal
@@ -119,8 +119,8 @@ def test_tau_monomial_formula():
 
 def test_tau_monomial_box_is_the_generator_box(monkeypatch):
     prefixes = []
-    product = testideal.product
-    monkeypatch.setattr(testideal, "product", lambda *axes: (
+    product = newton.product
+    monkeypatch.setattr(newton, "product", lambda *axes: (
         prefixes.append(u) or u for u in product(*axes)))
     a = MonomialIdeal(3, [(6, 5, 0)])
     assert tau_monomial(a, 2).gens == ((12, 10, 0),)
