@@ -8,7 +8,9 @@ as a ``"num/den"`` string.  Floating point appears only in explicitly labeled
 
 Exit codes: 0 success, 2 malformed input, 3 budget exhaustion (always) or
 uncertified results under ``--strict``, 4 a broken invariant.  Each failure
-prints one ``error:`` line and no traceback.
+prints one ``error:`` line and no traceback.  The console script exits 141,
+the shell's status for SIGPIPE, with nothing on stderr when the reader of
+its output closes the pipe early.
 
 Importing this module loads only the standard library; each subcommand
 imports the modules it runs when it is called.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -48,10 +51,10 @@ def _parse_lambda(text: str) -> Fraction:
 # ----------------------------------------------------------------------
 
 def _cmd_lct(args):
-    from thresholds import newton
+    from thresholds import lct0, newton
 
-    value = newton.lct_monomial(newton.MonomialIdeal.parse(args.monomial))
-    return {"lct": fmt_q(value), "method": "LP"}, True
+    res = lct0.first_exact(lct0.CHAR0_RULES, newton.MonomialIdeal.parse(args.monomial))
+    return {"lct": fmt_q(res.value), "method": res.method}, True
 
 
 def _cmd_fpt(args):
@@ -140,10 +143,10 @@ def _cmd_compare(args):
     f = parse_polynomial(args.poly, infer_ring(args.poly))
     charge_box(args.pmax, f"--pmax {args.pmax}")
     primes = [p for p in range(2, args.pmax + 1) if is_prime(p)]
-    rows = redmodp.compare_diagonal(f, primes, e_max=args.e)
+    rows = redmodp.compare(f, primes, e_max=args.e)
     if not rows:
-        raise ValueError(f"--pmax {args.pmax} leaves no prime to compare "
-                         "(primes that divide an exponent are skipped)")
+        raise ValueError(f"--pmax {args.pmax} leaves no prime to compare (primes "
+                         "that divide a coefficient or a part's order are skipped)")
     out = [{
         "p": r.p,
         "fpt": _interval_dict(r.fpt),
@@ -200,8 +203,9 @@ _COMMANDS = {
     "asym": ("golden-ratio graded-sequence convergence table", [
         ("--mmax", {"type": int, "default": 2048}),
     ], _cmd_asym),
-    "compare": ("char-0 vs char-p thresholds for a diagonal", [
-        ("--poly", {"required": True, "help": "diagonal polynomial over Q"}),
+    "compare": ("char-0 vs char-p thresholds of a Thom-Sebastiani sum", [
+        ("--poly", {"required": True,
+                    "help": "polynomial over Q whose lct0 a rule gives"}),
         ("--pmax", {"type": int, "default": 100}),
         ("--e", {"type": int, "default": 3}),
     ], _cmd_compare),
@@ -270,7 +274,14 @@ def run(argv=None) -> int:
 
 
 def main():  # console-script entry point
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the rest of stdout, flushed at exit, goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

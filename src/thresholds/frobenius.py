@@ -15,7 +15,7 @@ from itertools import count, islice
 from operator import add
 
 from thresholds.grobner import PolyIdeal
-from thresholds.lct0 import ThresholdResult
+from thresholds.lct0 import ThresholdResult, first_exact
 from thresholds.newton import lct_monomial
 # unused here: bench/run.py reads the two budgets from this module
 from thresholds.rings import DEFAULT_BOX_BUDGET, DEFAULT_PRODUCT_BUDGET
@@ -117,29 +117,32 @@ def nu(a, e: int) -> int:
     return next(islice(_levels(_in_m(a)), e - 1, None))
 
 
+# (method, rule): a rule maps an ideal a in m to its exact F-pure threshold, or
+# to a false value.  Monomial: its lct (Hara-Yoshida); f in one variable (one
+# exponent column not all zero): x^ord times a unit; cubic: see fpt_cubic_cone.
+CHAR_P_RULES = (
+    ("LP", lambda a: a.monomial and lct_monomial(a.monomial)),
+    ("closed-form", lambda a: len(a.gens) == 1 == sum(map(any, zip(*a.gens[0].terms)))
+                              and Fraction(1, a.gens[0].order())),
+    ("cubic-cone", lambda a: len(a.gens) == 1 and is_smooth_cubic(a.gens[0])
+                             and _cone_fpt(a.gens[0])),
+)
+
+
 def fpt_enclosures(a):
     """Yield a proved enclosure of the F-pure threshold per level e with
-    p^e <= PE_CAP.  Exact values come once: for monomial generator lists (from
-    the Newton polyhedron), one-variable principal ideals (1/ord), smooth
-    ternary cubic forms (:func:`fpt_cubic_cone`) and F-pure principal ideals
-    (1, once nu(e) = p^e - 1; see :func:`_levels`).  Other
+    p^e <= PE_CAP.  An exact value comes once: from the first rule of
+    ``CHAR_P_RULES`` that answers, or 1 for an F-pure principal ideal, once
+    nu(e) = p^e - 1 (see :func:`_levels`).  Other
     levels give [nu(e)/p^e, (nu(e)+1)/p^e] for principal ideals, with a
     generator-wise sum as the upper end for the others, in [1/ord, n/ord].
     """
     a = _in_m(a)
+    if exact := first_exact(CHAR_P_RULES, a):
+        yield exact
+        return
     gens, p, n = a.gens, a.ring.p, a.ring.nvars
     ord_a = min(g.order() for g in gens)
-    if a.monomial is not None:
-        yield ThresholdResult.exact(lct_monomial(a.monomial), "LP")
-        return
-    used = {i for u in gens[0].terms for i, x in enumerate(u) if x}
-    if len(gens) == 1 and len(used) == 1:
-        yield ThresholdResult.exact(Fraction(1, ord_a), "closed-form")
-        return
-    if len(gens) == 1 and n == 3 and all(sum(u) == 3 for u in gens[0].terms) \
-            and is_smooth_cubic(gens[0]):
-        yield ThresholdResult.exact(_cone_fpt(gens[0]), "cubic-cone")
-        return
     if p > PE_CAP:
         raise BudgetExceededError("p^e cap leaves no usable e")
     each = [_levels(PolyIdeal(g)) for g in gens] if len(gens) > 1 else []
@@ -193,9 +196,9 @@ def _rank_mod_p(rows: list, p: int) -> int:
 
 
 def is_smooth_cubic(f: Polynomial) -> bool:
-    """Whether the plane cubic f = 0 over F_p is smooth (over the algebraic
-    closure), by the rank of the degree-4 Macaulay matrix of
-    J = (f, df/dx, df/dy, df/dz).
+    """Whether f is a cubic form in three variables over F_p whose plane
+    curve f = 0 is smooth (over the algebraic closure), by the rank of the
+    degree-4 Macaulay matrix of J = (f, df/dx, df/dy, df/dz).
 
     Its rows are the multiples of each partial by the six quadratic
     monomials and of f by the three linear ones, its 15 columns the quartic
@@ -207,6 +210,8 @@ def is_smooth_cubic(f: Polynomial) -> bool:
     power of m.  For p = 3 the converse was checked against a Groebner
     basis test on every nonzero cubic form over F_3.
     """
+    if f.ring.nvars != 3 or any(sum(exp) != 3 for exp in f.terms):
+        return False
     p = f.ring.p
     col = {exp: i for i, exp in enumerate(_forms(4))}
     rows = []

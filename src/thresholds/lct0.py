@@ -3,18 +3,21 @@
 Only the families with known closed forms are computed, each by a function
 of its data: diagonal forms, homogeneous polynomials with isolated
 singularity, and nonsingular subschemes.  A plane node is
-``lct_homogeneous_isolated(2, 2)``, with threshold 1; monomial ideals go
-through :func:`thresholds.newton.lct_monomial`.  Bad data raises
+``lct_homogeneous_isolated(2, 2)``, with threshold 1.  Bad data raises
 ``ValueError``; computing a general threshold would need a log resolution,
 which is out of scope.
 
-This module imports no other ``thresholds`` module.
+``CHAR0_RULES`` gives exact thresholds: Howald's for a monomial ideal (so
+this module imports ``newton``) and Thom-Sebastiani's for a polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from thresholds.newton import MonomialIdeal, lct_monomial
+from thresholds.rings import Polynomial
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,7 @@ class ThresholdResult:
 
     lo: Fraction
     hi: Fraction
-    method: str  # 'closed-form' | 'LP' | 'nu-limit' | 'F-pure' | 'cubic-cone'
+    method: str  # a rule's name in a table of exact rules, 'F-pure' or 'nu-limit'
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -56,6 +59,47 @@ def lct_closed_form(exponents) -> Fraction:
     if not exponents or min(exponents) < 1:
         raise ValueError("diagonal exponents must be >= 1")
     return min(Fraction(1), sum(Fraction(1, a) for a in exponents))
+
+
+def thom_sebastiani_orders(f: Polynomial) -> list | None:
+    """The k of each part of f = g_1 + ... + g_r in disjoint variables, if
+    each part is in one variable (k its order) or one term c*x^u (k = max u);
+    else None, as for f = 0 or f(0) != 0."""
+    parts = []  # [variables, exponents] of each part of the terms so far
+    for u in f.terms:
+        part = [{i for i, x in enumerate(u) if x}, [u]]
+        for other in [q for q in parts if q[0] & part[0]]:
+            parts.remove(other)
+            part[0] |= other[0]
+            part[1] += other[1]
+        parts.append(part)
+    # a false k marks a part that is neither, or a constant term
+    ks = [min(map(sum, exps)) if len(used) == 1 else len(exps) == 1 and max(exps[0])
+          for used, exps in parts]
+    return ks if ks and all(ks) else None
+
+
+def _thom_sebastiani(f):
+    """lct(g(x) + h(y)) = min(1, lct g + lct h) for g, h in disjoint variables
+    (Demailly-Kollar, Ann. Sci. ENS 2001), and each part above has lct 1/k."""
+    ks = isinstance(f, Polynomial) and thom_sebastiani_orders(f)
+    return ks and lct_closed_form(ks)
+
+
+# (method, rule): a rule maps a MonomialIdeal or a polynomial over Q to its
+# exact lct at the origin, or to a false value where it does not apply
+CHAR0_RULES = (
+    ("LP", lambda a: isinstance(a, MonomialIdeal) and lct_monomial(a)),  # Howald
+    ("closed-form", _thom_sebastiani),
+)
+
+
+def first_exact(rules, a) -> ThresholdResult | None:
+    """The exact result of the first (method, rule) in rules that answers a."""
+    for method, rule in rules:
+        if value := rule(a):
+            return ThresholdResult.exact(value, method)
+    return None
 
 
 def lct_homogeneous_isolated(n: int, d: int) -> Fraction:

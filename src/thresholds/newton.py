@@ -12,6 +12,7 @@ the compact facets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -21,18 +22,36 @@ from thresholds.lp import OPTIMAL, solve_lp
 from thresholds.rings import parse_generators
 
 
+def _front_insert(bs: list, cs: list, b, c) -> bool:
+    """Add (b, c) to the Pareto front (bs rising, cs falling) unless a point
+    of the front is <= (b, c), dropping the points that (b, c) is <=; whether
+    (b, c) was added."""
+    i = bisect_right(bs, b)
+    if i and cs[i - 1] <= c:  # the front's least c among its b' <= b
+        return False
+    j = k = bisect_left(bs, b, 0, i)
+    while k < len(cs) and cs[k] >= c:
+        k += 1
+    bs[j:k], cs[j:k] = [b], [c]
+    return True
+
+
 def minimal_points(points) -> list:
     """The points not componentwise >= another point, in lex order.
 
     Lex order extends the componentwise order, so a point can only be
     dominated by a point sorted before it: one pass against the points kept
     so far suffices.  In two dimensions the kept second coordinates strictly
-    decrease, so the last kept point alone decides.
+    decrease, so the last kept point alone decides.  In three, every kept
+    point has a first coordinate <= this one's, so the Pareto front of the
+    kept points' last two coordinates decides, by one bisection.
     """
-    out = []
+    out, bs, cs = [], [], []
     for p in sorted(points):
         if len(p) == 2:
             dominated = out and out[-1][1] <= p[1]
+        elif len(p) == 3:
+            dominated = not _front_insert(bs, cs, p[1], p[2])
         else:
             dominated = any(all(a <= b for a, b in zip(q, p)) for q in out)
         if not dominated:

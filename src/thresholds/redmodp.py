@@ -3,9 +3,10 @@
 For a polynomial with rational coefficients, the F-pure threshold of the
 reduction mod p never exceeds the characteristic-zero threshold, and the two
 agree for infinitely many p.  ``compare_at_prime`` produces one row of that
-comparison from a proved enclosure of the F-pure threshold;
-``compare_diagonal`` runs it across a prime range for a diagonal polynomial
-over Q, where equality has a clean congruence description.
+comparison from a proved enclosure of the F-pure threshold; ``compare`` runs
+it across a prime range for a polynomial over Q whose threshold a rule of
+``lct0.CHAR0_RULES`` gives.  For a diagonal, equality has a clean
+congruence description.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ from itertools import islice
 from math import prod
 
 from thresholds.frobenius import fpt_enclosures
-from thresholds.lct0 import ThresholdResult, lct_closed_form
+from thresholds.lct0 import (
+    CHAR0_RULES,
+    ThresholdResult,
+    first_exact,
+    thom_sebastiani_orders,
+)
 from thresholds.rings import Polynomial, Ring, is_prime
 
 EQUAL = "equal"
 FPT_LESS = "fpt-less"
 INCONCLUSIVE = "inconclusive"
-
-_NOT_DIAGONAL = "compare expects a diagonal x1^a1 + ... + xn^an"
 
 
 def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
@@ -78,40 +82,37 @@ def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
     return ComparisonRow(p, replace(enc, hi=min(enc.hi, lct0)), lct0)
 
 
-def compare_diagonal(f: Polynomial, primes, *, e_max: int = 3) -> list:
-    """Comparison rows for a diagonal f = x_1^{a_1} + ... + x_n^{a_n} over Q
-    across the given primes.
+def compare(f: Polynomial, primes, *, e_max: int = 3) -> list:
+    """Comparison rows across the given primes for f over Q, vanishing at the
+    origin, whose threshold lct0 a rule of ``CHAR0_RULES`` gives.
 
-    f must be a sum of terms 1*x_i^{a_i}, each variable in at most one of
-    them; anything else raises ``ValueError``.  The two thresholds agree
-    when p = 1 mod a_1*...*a_n (every a_i then divides p - 1), so those rows
-    are EQUAL without a computation; every row carries p mod a_1*...*a_n as
-    its residue.
-    Primes dividing some exponent are skipped: the reduction is then a p-th
-    power times a unit pattern and the diagonal closed forms do not apply.
+    Primes that divide a coefficient of f or the k of a part of f
+    (:func:`thom_sebastiani_orders`) are skipped.  For a diagonal
+    f = c_1 x_1^{a_1} + ... + c_n x_n^{a_n} the two thresholds agree when
+    p = 1 mod a_1*...*a_n (every a_i then divides p - 1), so those rows are
+    EQUAL without a computation; each row carries p mod a_1*...*a_n as its
+    residue.
     """
     if f.ring.p is not None:
         raise ValueError("polynomial is already in characteristic p")
-    exponents = {}  # variable index -> its exponent
-    for exp, c in f.terms.items():
-        support = [i for i, a in enumerate(exp) if a]
-        if len(support) != 1 or c != 1 or support[0] in exponents:
-            raise ValueError(_NOT_DIAGONAL)
-        exponents[support[0]] = exp[support[0]]
-    if not exponents:
-        raise ValueError(_NOT_DIAGONAL)
+    if (0,) * f.ring.nvars in f.terms:
+        raise ValueError("f does not vanish at the origin")
+    if not (exact := first_exact(CHAR0_RULES, f)):
+        raise ValueError("no rule gives the characteristic-zero threshold of f")
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
-    exps = tuple(exponents.values())
-    lct0 = lct_closed_form(exps)
-    modulus = prod(exps)
+    ks = thom_sebastiani_orders(f)
+    bad = ks + [n for c in f.terms.values() for n in c.as_integer_ratio()]
+    # a diagonal has one part per term and one variable per part
+    diagonal = len(ks) == len(f.terms) == sum(map(any, zip(*f.terms)))
+    modulus = prod(ks) if diagonal else None
     rows = []
     for p in primes:
-        if any(a % p == 0 for a in exps):
+        if any(b % p == 0 for b in bad):
             continue
-        if p % modulus == 1:
-            row = ComparisonRow(p, ThresholdResult.exact(lct0), lct0)
+        if modulus and p % modulus == 1:
+            row = ComparisonRow(p, exact, exact.value)
         else:
-            row = compare_at_prime(f, p, lct0, e_max=e_max)
-        rows.append(replace(row, residue=p % modulus))
+            row = compare_at_prime(f, p, exact.value, e_max=e_max)
+        rows.append(replace(row, residue=modulus and p % modulus))
     return rows

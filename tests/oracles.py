@@ -24,6 +24,18 @@ from thresholds.rings import (
 )
 
 
+def minimal_points_by_pairs(points) -> list:
+    """Drop every point componentwise >= another one, testing each pair, and
+    sort the distinct rest (``newton.minimal_points``)."""
+    out = []
+    for p in points:
+        if any(q != p and all(a <= b for a, b in zip(q, p)) for q in points):
+            continue
+        if p not in out:
+            out.append(p)
+    return sorted(out)
+
+
 def contains_point(a: MonomialIdeal, q) -> bool:
     """Exact membership of q in P(a): q = sum mu_i g_i + r, mu in the simplex, r >= 0."""
     q = [Fraction(x) for x in q]

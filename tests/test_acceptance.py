@@ -26,7 +26,7 @@ from thresholds.frobenius import (
 )
 from thresholds.grobner import PolyIdeal
 from thresholds.newton import MonomialIdeal, check_amgm, lct_monomial, multiplicity_monomial
-from thresholds.redmodp import EQUAL, INCONCLUSIVE, compare_diagonal, reduce_mod_p
+from thresholds.redmodp import EQUAL, INCONCLUSIVE, compare, reduce_mod_p
 from thresholds.rings import (
     Polynomial,
     Ring,
@@ -278,7 +278,7 @@ def test_criterion_10_golden_ratio():
 @criterion(11)
 def test_criterion_11_comparison_table():
     cusp = parse_polynomial("x^2 + y^3", Ring.rationals(2))
-    rows = compare_diagonal(cusp, PRIMES_100)
+    rows = compare(cusp, PRIMES_100)
     assert {r.p for r in rows} == set(PRIMES_100) - {2, 3}
     for r in rows:
         assert r.relation != INCONCLUSIVE

@@ -16,6 +16,7 @@ from helpers import SRC, within_seconds
 import thresholds
 import thresholds.frobenius as frobenius
 import thresholds.grobner as grobner
+import thresholds.lct0 as lct0
 import thresholds.newton as newton
 import thresholds.testideal as testideal
 from thresholds.cli import _COMMANDS, build_parser, fmt_q, run
@@ -120,6 +121,60 @@ def test_compare_command(capsys):
     rep = _json(capsys, ["compare", "--poly", "x^2 + y^3", "--pmax", "30"])
     for row in rep["rows"]:
         assert (row["relation"] == "equal") == (row["p"] % 6 == 1)
+
+
+@pytest.mark.parametrize("poly, value", [
+    ("x^2 + y*z^2 + w^3", "1/1"),
+    ("x^2*y^3 + z^5", "8/15"),
+])
+def test_compare_takes_a_thom_sebastiani_sum(capsys, poly, value):
+    rep = _json(capsys, ["compare", "--poly", poly, "--pmax", "40"])
+    assert rep["rows"] and {(r["lct0"], r["residue"]) for r in rep["rows"]} == {(value, None)}
+
+
+# One case per exact rule: (table, method, argv, exact value).  fpt reads the
+# char-p rules of frobenius.CHAR_P_RULES, and F-pure from its level sweep;
+# lct and compare read lct0.CHAR0_RULES, and a compare row at p = 1 mod 6 of
+# a diagonal is the char-0 rule's result.
+_RULE_CASES = [
+    ("p", "LP", ["fpt", "--poly", "x^2, y^3", "--p", "5"], "5/6"),
+    ("p", "closed-form", ["fpt", "--poly", "x^2 + x^3", "--p", "5"], "1/2"),
+    ("p", "cubic-cone", ["fpt", "--poly", "x^3 + y^3 + z^3", "--p", "5"], "4/5"),
+    ("p", "F-pure", ["fpt", "--poly", "x^2 + y^2", "--p", "3"], "1/1"),
+    ("0", "LP", ["lct", "--monomial", "x^2*y, y^4"], "5/8"),
+    ("0", "closed-form", ["compare", "--poly", "2*x^2 + y^3", "--pmax", "7"], "5/6"),
+]
+
+
+@pytest.mark.parametrize("table, method, argv, value", _RULE_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in _RULE_CASES])
+def test_each_exact_rule_answers_through_the_cli(capsys, table, method, argv, value):
+    rules = ({("p", m) for m, _ in frobenius.CHAR_P_RULES}
+             | {("0", m) for m, _ in lct0.CHAR0_RULES})
+    assert rules <= {c[:2] for c in _RULE_CASES}, "a rule without a case"
+    rep = _json(capsys, argv)
+    if rep["command"] == "lct":
+        assert (rep["method"], rep["lct"]) == (method, value)
+        return
+    fpt = rep["fpt"] if rep["command"] == "fpt" else rep["rows"][-1]["fpt"]
+    assert fpt == {"lo": value, "hi": value, "certified": True, "method": method}
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    src = str(Path(thresholds.__file__).resolve().parent.parent)
+    for argv in (["newton", "--monomial", "x^2, y^3"],
+                 ["asym", "--mmax", "64", "--format", "json"]):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before anything is written
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "thresholds.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                text=True, timeout=30,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_compare_f_pure_node_is_equal_at_every_prime(capsys):
@@ -321,7 +376,7 @@ def test_parser_is_built_from_the_command_table():
     from thresholds import redmodp, testideal
 
     assert e_default["tau"] == e_default["fjump"] == testideal.DEFAULT_E_MAX
-    signature = inspect.signature(redmodp.compare_diagonal)
+    signature = inspect.signature(redmodp.compare)
     assert e_default["compare"] == signature.parameters["e_max"].default
 
 
@@ -387,6 +442,8 @@ def test_tau_large_integer_lambda_exits_0(capsys):
     ["compare", "--poly", "x^2+y^3", "--pmax", "1"],  # no prime left to compare
     ["compare", "--poly", "x^2+y^3", "--pmax", "-1"],
     ["compare", "--poly", "x^2 + y^4", "--pmax", "2"],  # 2 divides an exponent
+    ["compare", "--poly", "x^2*y + x^5 + z^2"],  # no rule gives lct0
+    ["compare", "--poly", "x^2 + 1"],  # f does not vanish at the origin
 ])
 def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv):
     assert run(argv) == 2
@@ -409,7 +466,7 @@ def test_lambda_errors_name_the_flag(capsys, argv):
 def test_compare_zero_polynomial_is_not_a_diagonal(capsys):
     assert run(["compare", "--poly", "0"]) == 2
     assert capsys.readouterr().err == (
-        "error: compare expects a diagonal x1^a1 + ... + xn^an\n")
+        "error: no rule gives the characteristic-zero threshold of f\n")
 
 
 def test_lambda_takes_what_fraction_takes(capsys):
@@ -514,8 +571,8 @@ def test_lct_loads_only_the_modules_it_runs():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.run(['lct', '--monomial', 'x^2, y^3']) == 0"
     )
-    assert "thresholds.newton" in loaded
-    for name in ("frobenius", "grobner", "testideal", "redmodp", "asymptotic", "lct0"):
+    assert {"thresholds.newton", "thresholds.lct0"} <= loaded  # lct0's rule table
+    for name in ("frobenius", "grobner", "testideal", "redmodp", "asymptotic"):
         assert f"thresholds.{name}" not in loaded
 
 
@@ -576,10 +633,11 @@ def test_library_imports_stand_at_module_level_and_form_no_cycle():
     assert done == edges.keys(), f"import cycle among {sorted(edges.keys() - done)}"
 
 
-def test_lct0_imports_no_other_thresholds_module():
+def test_lct0_imports_only_newton_and_what_it_imports():
     loaded = _modules_after("import thresholds.lct0")
     assert {m for m in loaded if m.startswith("thresholds")} == {
-        "thresholds", "thresholds.lct0"
+        "thresholds", "thresholds.lct0", "thresholds.newton", "thresholds.lp",
+        "thresholds.rings",
     }
 
 

@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from thresholds.frobenius import fpt_enclosure
 from thresholds.lct0 import (
+    CHAR0_RULES,
     ThresholdResult,
+    first_exact,
     lct_closed_form,
     lct_general_combination,
     lct_homogeneous_isolated,
@@ -12,6 +15,10 @@ from thresholds.lct0 import (
     truncation_bound,
 )
 from thresholds.newton import MonomialIdeal, lct_monomial
+from thresholds.redmodp import reduce_mod_p
+from thresholds.rings import Polynomial, Ring
+
+COEFFS = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4))
 
 
 def test_diagonal_closed_form():
@@ -92,3 +99,51 @@ def test_threshold_result_invariants():
         ThresholdResult(Fraction(1), Fraction(0), "closed-form")
     exact = ThresholdResult.exact(Fraction(5, 6))
     assert exact.is_exact and exact.value == Fraction(5, 6)
+
+
+@given(st.lists(st.tuples(st.integers(1, 9), COEFFS), min_size=1, max_size=4))
+def test_thom_sebastiani_on_a_diagonal_is_the_closed_form(parts):
+    n = len(parts)
+    f = Polynomial(Ring.rationals(n), {
+        tuple(a if j == i else 0 for j in range(n)): c for i, (a, c) in enumerate(parts)})
+    assert first_exact(CHAR0_RULES, f) == ThresholdResult.exact(
+        lct_closed_form([a for a, _ in parts]), "closed-form")
+
+
+# a part in one variable, as (exponent, coefficient) terms, or one term c*x^u
+# with u >= 1 on a block of one or two variables
+PART = st.one_of(
+    st.lists(st.tuples(st.integers(1, 5), COEFFS), min_size=1, max_size=2,
+             unique_by=lambda t: t[0]).map(lambda terms: ("one", terms)),
+    st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=2), COEFFS)
+    .map(lambda term: ("term", term)),
+)
+
+
+def _size(parts) -> tuple:
+    """(variables, terms) of a sum of parts; with more than 3 terms in 3
+    variables the level-1 sweep at p = 97 can run past its term budget."""
+    return (sum(1 if kind == "one" else len(t[0]) for kind, t in parts),
+            sum(len(t) if kind == "one" else 1 for kind, t in parts))
+
+
+@given(st.lists(PART, min_size=1, max_size=3).filter(lambda ps: max(_size(ps)) <= 3))
+def test_thom_sebastiani_bounds_every_fpt(parts):
+    n = _size(parts)[0]
+    terms, ks, start = {}, [], 0
+    for kind, part in parts:
+        if kind == "one":
+            for a, c in part:
+                terms[tuple(a if j == start else 0 for j in range(n))] = c
+            ks.append(min(a for a, _ in part))
+            start += 1
+        else:
+            u, c = part
+            terms[(0,) * start + tuple(u) + (0,) * (n - start - len(u))] = c
+            ks.append(max(u))
+            start += len(u)
+    f = Polynomial(Ring.rationals(n), terms)
+    lct0 = first_exact(CHAR0_RULES, f).value
+    assert lct0 == lct_closed_form(ks)
+    for p in (97, 101):
+        assert fpt_enclosure(reduce_mod_p(f, p), 2).lo <= lct0

@@ -8,6 +8,7 @@ from oracles import (
     contains_point,
     covolume_reference,
     extreme_rays_reference,
+    minimal_points_by_pairs,
     ray_entry_dual,
     tau_by_slack,
 )
@@ -36,29 +37,19 @@ def _power(a, r):
     return PolyIdeal(ideal_power(gens, r)).monomial
 
 
-def _minimal_by_pairs(points):
-    """Quadratic oracle: drop every point componentwise >= another one."""
-    out = []
-    for p in points:
-        if any(q != p and all(a <= b for a, b in zip(q, p)) for q in points):
-            continue
-        if p not in out:
-            out.append(p)
-    return sorted(out)
-
-
-@given(st.integers(2, 3).flatmap(lambda n: st.lists(
-           st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=12)),
-       st.integers(1, 4))
-def test_minimal_generators(points, den):
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+           st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=40)),
+       st.integers(0, 10), st.integers(1, 4))
+def test_minimal_generators(points, repeat, den):
     a = MonomialIdeal(2, [(2, 0), (2, 1), (0, 3), (4, 4)])
     assert a.gens == ((0, 3), (2, 0))
-    assert minimal_points(points) == _minimal_by_pairs(points)
+    points = points + points[:repeat]  # duplicates
+    assert minimal_points(points) == minimal_points_by_pairs(points)
     n = len(points[0])
-    assert MonomialIdeal(n, points).gens == tuple(_minimal_by_pairs(points))
+    assert MonomialIdeal(n, points).gens == tuple(minimal_points_by_pairs(points))
     # the covolume oracle minimalizes Fraction points
     scaled = [tuple(Fraction(x, den) for x in p) for p in points]
-    assert minimal_points(scaled) == _minimal_by_pairs(scaled)
+    assert minimal_points(scaled) == minimal_points_by_pairs(scaled)
 
 
 def test_parse():
