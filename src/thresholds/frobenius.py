@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
-from operator import add
 
 from thresholds.grobner import PolyIdeal
 from thresholds.lct0 import ThresholdResult, first_exact
@@ -23,7 +22,9 @@ from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
     charge_box,
+    echelon,
     monomial_coefficient,
+    power_has_reduced_term,
     product_sweep,
 )
 
@@ -66,6 +67,14 @@ def _nu_box(exps, n: int, q: int) -> int:
         reach, i = nxt, i + 1
 
 
+def _walk_finds_f_pure(f: Polynomial) -> bool:
+    """Whether the walk finds f^(p-1) outside m^[p]: nu(1) = p - 1 (Fedder)."""
+    try:
+        return power_has_reduced_term(f, f.ring.p - 1, f.ring.p)
+    except BudgetExceededError:
+        return False  # the walk ran out too
+
+
 def _levels(a: PolyIdeal):
     """Yield nu(1), nu(2), ... of an ideal a in m (checked by :func:`_in_m`).
 
@@ -75,8 +84,9 @@ def _levels(a: PolyIdeal):
     budget: over F_p, f^(p*j) mod m^[p*q] is f^j mod m^[q] with its exponents
     times p, and p*nu(k) <= nu(k+1) <= p*nu(k) + p - 1 (Blickle-Mustata-Smith,
     F-thresholds of hypersurfaces), so level k+1 resumes from level k's lifted
-    last product and takes at most p - 1 further steps.  A level of any shape
-    that breaks a bound it is held to raises AssertionError.
+    last product and takes at most p - 1 further steps.  If the sweep of level
+    1 runs out, :func:`_walk_finds_f_pure` may still give nu(1) = p - 1.  A
+    level of any shape that breaks a bound it is held to raises AssertionError.
 
     A level k with nu(k) = p^k - 1 ends the walk: nu(e) = p^e - 1 for every e.
     Indeed nu(j) <= p^j - 1 always (f^(p^j) lies in m^[p^j]), so nu(k) <=
@@ -100,7 +110,12 @@ def _levels(a: PolyIdeal):
         else:
             start = None if k == 1 else Polynomial(
                 ring, {tuple(x * p for x in u): c for u, c in prod.terms.items()})
-            d, (prod,), left = product_sweep(a.gens, q, left, start)
+            try:
+                d, (prod,), left = product_sweep(a.gens, q, left, start)
+            except BudgetExceededError:
+                if k > 1 or not _walk_finds_f_pure(a.gens[0]):
+                    raise
+                d = p - 1
             if d > p - 1:
                 raise AssertionError(f"level {k} of the nu walk took {d} > p - 1 steps")
             level = p * prev + d
@@ -172,57 +187,28 @@ def fpt_enclosure(a, e_max: int) -> ThresholdResult:
 # Cones over plane cubics
 # ----------------------------------------------------------------------
 
-def _forms(d: int) -> list:
-    """The exponents of the monomials of degree d in three variables."""
-    return [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
-
-
-def _rank_mod_p(rows: list, p: int) -> int:
-    """Rank over F_p of a matrix given as a list of rows (lists of residues)."""
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inv = pow(top[col], p - 2, p)
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                m = rows[r][col] * inv % p
-                rows[r] = [(a - m * b) % p for a, b in zip(rows[r], top)]
-        rank += 1
-    return rank
-
-
 def is_smooth_cubic(f: Polynomial) -> bool:
     """Whether f is a cubic form in three variables over F_p whose plane
-    curve f = 0 is smooth (over the algebraic closure), by the rank of the
-    degree-4 Macaulay matrix of J = (f, df/dx, df/dy, df/dz).
+    curve f = 0 is smooth (over the algebraic closure): whether the multiples
+    of each partial by the six quadratic monomials and of f by the three
+    linear ones span the 15 quartic monomials (:func:`rings.echelon`).
 
-    Its rows are the multiples of each partial by the six quadratic
-    monomials and of f by the three linear ones, its 15 columns the quartic
-    monomials.  Full rank puts every quartic in J, so J is m-primary and the
-    curve is smooth, for every p.  For p != 3 the converse holds: Euler's
-    identity 3f = x f_x + y f_y + z f_z puts f in (f_x, f_y, f_z); three
-    quadrics with no common zero form a regular sequence, whose ideal
-    contains every quartic, and an ideal with a common zero contains no
-    power of m.  For p = 3 the converse was checked against a Groebner
-    basis test on every nonzero cubic form over F_3.
+    If they do, J = (f, df/dx, df/dy, df/dz) is m-primary and the curve is
+    smooth, for every p.  For p != 3 the converse holds: Euler's identity
+    3f = x f_x + y f_y + z f_z puts f in (f_x, f_y, f_z); three quadrics with
+    no common zero form a regular sequence, whose ideal contains every
+    quartic, and an ideal with a common zero contains no power of m.  For
+    p = 3 the converse was checked against a Groebner basis test on every
+    nonzero cubic form over F_3.
     """
     if f.ring.nvars != 3 or any(sum(exp) != 3 for exp in f.terms):
         return False
-    p = f.ring.p
-    col = {exp: i for i, exp in enumerate(_forms(4))}
-    rows = []
-    parts = [(f.derivative(i), _forms(2)) for i in range(3)] + [(f, _forms(1))]
-    for g, shifts in parts:
-        for s in shifts:
-            row = [0] * len(col)
-            for exp, c in g.terms.items():
-                row[col[tuple(map(add, exp, s))]] = c
-            rows.append(row)
-    return _rank_mod_p(rows, p) == len(col)
+    quadrics = [(a, b, 2 - a - b) for a in range(3) for b in range(3 - a)]
+    parts = [(f.derivative(i), quadrics) for i in range(3)]
+    parts.append((f, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    rows = [{(x + a, y + b, z + c): v for (x, y, z), v in g.terms.items()}
+            for g, shifts in parts for a, b, c in shifts]
+    return len(echelon(rows, f.ring.p)) == 15
 
 
 def _cone_fpt(f: Polynomial) -> Fraction:
@@ -240,17 +226,12 @@ def _cone_fpt(f: Polynomial) -> Fraction:
 
 def fpt_cubic_cone(f: Polynomial) -> Fraction:
     """Threshold of the cone over the plane cubic f = 0 over F_p, which must
-    be smooth (:func:`is_smooth_cubic`); a singular cubic raises ``ValueError``.
-    """
+    be smooth (:func:`is_smooth_cubic`); anything else raises ``ValueError``."""
     if f.ring.p is None:
         raise ValueError("cubic must live over F_p")
-    if f.ring.nvars != 3:
-        raise ValueError("cubic must have exactly 3 variables")
-    if f.is_zero() or any(sum(exp) != 3 for exp in f.terms):
-        raise ValueError("polynomial is not homogeneous of degree 3")
     if not is_smooth_cubic(f):
-        raise ValueError(f"the cubic curve is singular over F_{f.ring.p}; "
-                         "ordinarity needs a smooth plane cubic")
+        raise ValueError(f"not a cubic form in three variables, or singular over "
+                         f"F_{f.ring.p}: ordinarity needs a smooth plane cubic")
     return _cone_fpt(f)
 
 

@@ -41,17 +41,15 @@ def minimal_points(points) -> list:
 
     Lex order extends the componentwise order, so a point can only be
     dominated by a point sorted before it: one pass against the points kept
-    so far suffices.  In two dimensions the kept second coordinates strictly
-    decrease, so the last kept point alone decides.  In three, every kept
-    point has a first coordinate <= this one's, so the Pareto front of the
-    kept points' last two coordinates decides, by one bisection.
+    so far suffices.  In at most three dimensions, with the missing
+    coordinates 0, every kept point has a first coordinate <= this one's, so
+    the Pareto front of the kept points' last two coordinates decides, by
+    one bisection.
     """
     out, bs, cs = [], [], []
     for p in sorted(points):
-        if len(p) == 2:
-            dominated = out and out[-1][1] <= p[1]
-        elif len(p) == 3:
-            dominated = not _front_insert(bs, cs, p[1], p[2])
+        if len(p) <= 3:
+            dominated = not _front_insert(bs, cs, *(*p[1:], 0, 0)[:2])
         else:
             dominated = any(all(a <= b for a, b in zip(q, p)) for q in out)
         if not dominated:
@@ -104,13 +102,7 @@ class MonomialIdeal:
 
     def is_m_primary(self) -> bool:
         """True iff the ideal contains a pure power of every variable."""
-        for i in range(self.n):
-            if not any(
-                g[i] > 0 and all(x == 0 for j, x in enumerate(g) if j != i)
-                for g in self.gens
-            ):
-                return False
-        return True
+        return all(any(0 < g[i] == sum(g) for g in self.gens) for i in range(self.n))
 
     def contains_monomial(self, exp) -> bool:
         return any(all(a <= b for a, b in zip(g, exp)) for g in self.gens)

@@ -21,6 +21,7 @@ primitives everything else is built on:
   multinomial walk, reduced mod p by the Lucas rule, whose last two counts
   come from a closed-form interval); coefficient extraction and the
   reduced-term test both read it.
+* ``echelon(rows, p)`` is the one row reduction: sparse rows over F_p.
 
 Every named budget is read through ``budget`` where it is charged.  This
 module owns four: the term budget of a product, the nodes of the walk, the
@@ -161,6 +162,36 @@ def grevlex_key(exp: Exponent):
     return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
+def echelon(rows, p: int) -> list:
+    """The reduced row-echelon basis of the F_p-span of ``rows``, sparse term
+    dicts keyed by exponent: each member is monic at its pivot, its grevlex-
+    leading monomial, where no other member has a term, and the members come
+    largest pivot first, so their number is the rank.  A new row is cleared
+    at the kept pivots, made monic, and clears its own pivot from the rest."""
+    cols = sorted({exp for row in rows for exp in row}, key=grevlex_key, reverse=True)
+    index = {exp: i for i, exp in enumerate(cols)}  # a pivot is a row's least column
+    kept: dict = {}  # pivot column -> monic row {column: residue}
+
+    def subtract(r: dict, m: int, top: dict) -> None:  # r -= m * top
+        for col, c in top.items():
+            if v := (r.get(col, 0) - m * c) % p:
+                r[col] = v
+            else:
+                del r[col]
+
+    for row in rows:
+        r = {index[exp]: v for exp, c in row.items() if (v := c % p)}
+        for col in [col for col in r if col in kept]:  # kept rows meet no other pivot
+            subtract(r, r[col], kept[col])
+        if r:
+            inv = pow(r[lead := min(r)], p - 2, p)
+            kept[lead] = r = {col: c * inv % p for col, c in r.items()}
+            for other in kept.values():
+                if other is not r and lead in other:
+                    subtract(other, other[lead], r)
+    return [{cols[col]: c for col, c in kept[lead].items()} for lead in sorted(kept)]
+
+
 class Polynomial:
     """Immutable sparse polynomial.  Do not mutate ``terms`` after creation."""
 
@@ -293,13 +324,9 @@ class Polynomial:
 
     def derivative(self, index: int) -> "Polynomial":
         """Partial derivative in the variable of position ``index``."""
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[index]:
-                shifted = list(exp)
-                shifted[index] -= 1
-                out[tuple(shifted)] = c * exp[index]
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, {
+            (*exp[:index], exp[index] - 1, *exp[index + 1:]): c * exp[index]
+            for exp, c in self.terms.items() if exp[index]})
 
     def coefficient(self, exp: Exponent):
         return self.terms.get(tuple(exp), self.ring.coeff(0))

@@ -656,6 +656,27 @@ def _reduce_basis_reference(basis) -> tuple:
     return tuple(out)
 
 
+def rank_mod_p(rows: list, p: int) -> tuple:
+    """Rank over F_p of a dense matrix given as a list of rows (lists of
+    integers), and the nonzero rows of its reduced row-echelon form: Gauss-
+    Jordan elimination, one column at a time, each pivot row made monic."""
+    rows = [[a % p for a in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        top = rows[rank] = [a * inv % p for a in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                m = rows[r][col]
+                rows[r] = [(a - m * b) % p for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank, rows[:rank]
+
+
 def is_smooth_cubic_reference(f: Polynomial) -> bool:
     """Whether the plane cubic f = 0 is smooth, by Groebner bases: J = (f,
     f_x, f_y, f_z) is m-primary iff the leading terms of its reduced basis

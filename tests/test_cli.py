@@ -18,6 +18,7 @@ import thresholds.frobenius as frobenius
 import thresholds.grobner as grobner
 import thresholds.lct0 as lct0
 import thresholds.newton as newton
+import thresholds.rings as rings
 import thresholds.testideal as testideal
 from thresholds.cli import _COMMANDS, build_parser, fmt_q, run
 from thresholds.rings import Ring, parse_polynomial, render_polynomial
@@ -399,6 +400,34 @@ def test_fpt_f_pure_stress_row_exits_0(capsys):
         rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3 + z^5", "--p", "97", "--e", e])
         assert rep["fpt"] == {"lo": "1/1", "hi": "1/1", "certified": True,
                               "method": "F-pure"}
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    # f has a linear term, so it is smooth at 0 and F-pure
+    (["fpt", "--poly", "x - y - 5*y^2 - z^4", "--p", "97", "--e", "1"], "fpt",
+     {"lo": "1/1", "hi": "1/1", "certified": True, "method": "F-pure"}),
+    # (xy)^(p-1) is a term of f^(p-1) with coefficient 1
+    (["fpt", "--poly", "x^3 + y^3 + z^3 + x*y", "--p", "97", "--e", "1"], "fpt",
+     {"lo": "1/1", "hi": "1/1", "certified": True, "method": "F-pure"}),
+    (["nu", "--poly", "x^3 + y^3 + z^3 + x*y", "--p", "97", "--e", "2"], "nu", 97**2 - 1),
+])
+def test_f_pure_past_the_sweep_budget_is_answered_by_the_walk(capsys, argv, key, value):
+    # level 1 runs out of the product budget; the walk finds f^(p-1) outside m^[p]
+    assert _json(capsys, argv)[key] == value
+
+
+def test_first_level_past_the_sweep_budget_asks_the_walk(capsys, monkeypatch):
+    monkeypatch.delenv("THRESHOLDS_BUDGET", raising=False)
+    monkeypatch.setattr(rings, "DEFAULT_PRODUCT_BUDGET", 1)
+    # (xy)^6 has coefficient 20 in (x^2 + y^2)^6: F-pure, so nu(e) = 7^e - 1
+    assert _json(capsys, ["nu", "--poly", "x^2 + y^2", "--p", "7", "--e", "3"])["nu"] == 342
+    rep = _json(capsys, ["fpt", "--poly", "x^2 + y^2", "--p", "7", "--e", "3"])
+    assert rep["fpt"]["hi"] == "1/1" and rep["fpt"]["method"] == "F-pure"
+    # (x^2 + y^3)^6 has no term with both exponents below 7: not F-pure
+    assert run(["fpt", "--poly", "x^2 + y^3", "--p", "7", "--e", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generator-product sweep exceeded its term budget\n"
 
 
 def test_fpt_smooth_cubic_stress_row_is_exact(capsys):

@@ -271,6 +271,13 @@ def test_exact_one_means_f_pure(f):
         assert fpt_enclosure(f, 3).contains(1)
 
 
+@given(_f_pure_cases())
+def test_the_walk_and_the_first_level_agree_on_f_purity(f):
+    # Fedder: f is F-pure iff f^(p-1) is not in m^[p], iff nu(1) = p - 1
+    p = f.ring.p
+    assert power_has_reduced_term(f, p - 1, p) == (nu(f, 1) == p - 1)
+
+
 def _enclosure_cases(k):
     gens = nonzero_polynomials(F3, max_terms=3, max_exp=3).filter(
         lambda f: (0, 0) not in f.terms)

@@ -4,9 +4,11 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import nonzero_polynomials, polynomials, within_seconds
 from oracles import (
     frobenius_expand,
+    grevlex_key_reference,
     is_prime_by_trial_division,
     parse_polynomial_reference,
     product_sweep_reference,
+    rank_mod_p,
 )
 from thresholds import rings
 from thresholds.rings import (
@@ -14,6 +16,7 @@ from thresholds.rings import (
     ParseError,
     Polynomial,
     Ring,
+    echelon,
     frobenius_decompose,
     grevlex_key,
     is_prime,
@@ -341,6 +344,36 @@ def test_sweep_start_lies_below_q():
     gens = parse_generators("x + y", 2)
     with pytest.raises(ValueError):
         product_sweep(gens, 4, 100, start=parse_polynomial("x^4 + y", gens[0].ring))
+
+
+@st.composite
+def _row_lists(draw):
+    """(rows, p): up to 8 sparse rows in x, y, z of degree <= 2 per variable
+    with integers in [0, 2p) over F_2..F_13, repeated and zero rows among
+    them."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    rows = draw(st.lists(st.dictionaries(exps, st.integers(0, 2 * p - 1), max_size=6),
+                         max_size=8))
+    return rows + rows[:draw(st.integers(0, 3))] + [{}], p
+
+
+@given(_row_lists())
+def test_echelon_matches_dense_elimination(case):
+    rows, p = case
+    cols = sorted({exp for row in rows for exp in row}, key=grevlex_key_reference,
+                  reverse=True)
+    rank, reduced = rank_mod_p([[row.get(exp, 0) for exp in cols] for row in rows], p)
+    basis = echelon(rows, p)
+    assert len(basis) == rank
+    assert basis == [{exp: c for exp, c in zip(cols, row) if c} for row in reduced]
+
+
+def test_echelon_example():
+    x, y = (1, 0), (0, 1)
+    rows = [{x: 1, y: 1}, {x: 1, y: 1}, {}, {x: 0}, {x: 2, y: 1}]
+    assert echelon(rows, 3) == [{x: 1}, {y: 1}]  # x + y and 2x + y span both
+    assert echelon(rows[:2], 3) == [{x: 1, y: 1}]
 
 
 def test_pow_matches_repeated_multiplication():
