@@ -78,35 +78,39 @@ def _walk_finds_f_pure(f: Polynomial) -> bool:
 def _levels(a: PolyIdeal):
     """Yield nu(1), nu(2), ... of an ideal a in m (checked by :func:`_in_m`).
 
-    Monomial ideals sweep the exponent box (:func:`_nu_box`) and other ideals
-    with several generators their products (:func:`rings.product_sweep`), on
-    a fresh budget per level.  A principal ideal walks the levels on one
-    budget: over F_p, f^(p*j) mod m^[p*q] is f^j mod m^[q] with its exponents
-    times p, and p*nu(k) <= nu(k+1) <= p*nu(k) + p - 1 (Blickle-Mustata-Smith,
-    F-thresholds of hypersurfaces), so level k+1 resumes from level k's lifted
-    last product and takes at most p - 1 further steps.  If the sweep of level
-    1 runs out, :func:`_walk_finds_f_pure` may still give nu(1) = p - 1.  A
-    level of any shape that breaks a bound it is held to raises AssertionError.
+    Monomial ideals sweep the exponent box (:func:`_nu_box`), others their
+    generator products (:func:`rings.product_sweep`) on a fresh budget per
+    level.  A principal ideal walks the levels on one budget: f^(p*j) mod
+    m^[p*q] is f^j mod m^[q] with its exponents times p, so level k+1 resumes
+    from level k's lifted last product; if the sweep of level 1 runs out,
+    :func:`_walk_finds_f_pure` may still give nu(1) = p - 1.
 
-    A level k with nu(k) = p^k - 1 ends the walk: nu(e) = p^e - 1 for every e.
-    Indeed nu(j) <= p^j - 1 always (f^(p^j) lies in m^[p^j]), so nu(k) <=
-    p*nu(k-1) + p - 1 forces nu(k-1) = p^(k-1) - 1, and so on down to
-    nu(1) = p - 1: f^(p-1) is not in m^[p], so f is F-pure by Fedder's
-    criterion.  In the local ring R at the origin g is outside m^[q] exactly
-    when (g)^[1/q] = R; from (g^p h)^[1/p] = g (h)^[1/p] and (f^(p-1))^[1/p]
-    = R, induction on j gives (f^(p^(j+1)-1))^[1/p^(j+1)] =
-    (f^(p^j-1) (f^(p-1))^[1/p])^[1/p^j] = (f^(p^j-1))^[1/p^j] = R.
+    Each level lies in the window p*nu(k) <= nu(k+1) <= p*nu(k) + l(p - 1),
+    l = len(a.gens), or raises AssertionError.  Indeed h^p is outside m^[pq]
+    when h is outside m^[q]; and a product g^w of generators, w = p*b + c
+    with 0 <= c_i < p, lies in (a^|b|)^[p], inside m^[p^(k+1)] once
+    |w| > p*nu(k) + l(p - 1) forces |b| > nu(k).
+
+    A level k with nu(k) = l(p^k - 1) ends the walk: nu(e) = l(p^e - 1) for
+    every e.  Indeed a product of at least l(p^j - 1) generators other than
+    G^(p^j - 1), G = g_1 ... g_l, has a factor g_i^(p^j), in m^[p^j]; so
+    nu(j) = l(p^j - 1) iff G^(p^j - 1) is outside m^[p^j].  The window forces
+    nu(k-1) = l(p^(k-1) - 1), and so on down to nu(1) = l(p - 1): G^(p-1)
+    is not in m^[p], so G is F-pure by Fedder's criterion.  In the local
+    ring R at the origin g is outside m^[q] exactly when (g)^[1/q] = R; from
+    (g^p h)^[1/p] = g (h)^[1/p] and (G^(p-1))^[1/p] = R, induction on j gives
+    (G^(p^(j+1)-1))^[1/p^(j+1)] = (G^(p^j-1) (G^(p-1))^[1/p])^[1/p^j] = R.
     """
-    ring, p = a.ring, a.ring.p
+    ring, p, ell = a.ring, a.ring.p, len(a.gens)
     left, prev, q = None, 0, 1  # None: the first sweep starts a fresh budget
     for k in count(1):
         q *= p
-        if a.monomial is not None:
+        if 0 < prev == ell * (q // p - 1):
+            level = ell * (q - 1)  # F-pure: no sweep needed
+        elif a.monomial is not None:
             level = _nu_box(a.monomial.gens, ring.nvars, q)
-        elif len(a.gens) > 1:
+        elif ell > 1:
             level = product_sweep(a.gens, q)[0]
-        elif 0 < prev == q // p - 1:
-            level = q - 1  # F-pure: no sweep needed
         else:
             start = None if k == 1 else Polynomial(
                 ring, {tuple(x * p for x in u): c for u, c in prod.terms.items()})
@@ -116,11 +120,11 @@ def _levels(a: PolyIdeal):
                 if k > 1 or not _walk_finds_f_pure(a.gens[0]):
                     raise
                 d = p - 1
-            if d > p - 1:
-                raise AssertionError(f"level {k} of the nu walk took {d} > p - 1 steps")
             level = p * prev + d
-        if level < p * prev:
-            raise AssertionError(f"nu({k}) = {level} < p*nu({k - 1}) = {p * prev}")
+        lo, hi = p * prev, p * prev + ell * (p - 1)
+        if not lo <= level <= hi:
+            raise AssertionError(f"nu({k}) = {level} is outside [p*nu({k - 1}), p*nu("
+                                 f"{k - 1}) + l(p - 1)] = [{lo}, {hi}], l = {ell}")
         yield level
         prev = level
 
@@ -147,31 +151,27 @@ CHAR_P_RULES = (
 def fpt_enclosures(a):
     """Yield a proved enclosure of the F-pure threshold per level e with
     p^e <= PE_CAP.  An exact value comes once: from the first rule of
-    ``CHAR_P_RULES`` that answers, or 1 for an F-pure principal ideal, once
-    nu(e) = p^e - 1 (see :func:`_levels`).  Other
-    levels give [nu(e)/p^e, (nu(e)+1)/p^e] for principal ideals, with a
-    generator-wise sum as the upper end for the others, in [1/ord, n/ord].
+    ``CHAR_P_RULES`` that answers, or l = len(a.gens) once nu(e) = l(p^e - 1):
+    the product of the generators is F-pure (see :func:`_levels`).  Others give
+    [nu(e)/p^e, (nu(e)+l)/p^e] in [1/ord, n/ord]; by the window of
+    :func:`_levels` both ends tend to the threshold monotonically.
     """
     a = _in_m(a)
     if exact := first_exact(CHAR_P_RULES, a):
         yield exact
         return
-    gens, p, n = a.gens, a.ring.p, a.ring.nvars
-    ord_a = min(g.order() for g in gens)
+    p, n, ell = a.ring.p, a.ring.nvars, len(a.gens)
+    ord_a = min(g.order() for g in a.gens)
     if p > PE_CAP:
         raise BudgetExceededError("p^e cap leaves no usable e")
-    each = [_levels(PolyIdeal(g)) for g in gens] if len(gens) > 1 else []
     for e, nu_e in enumerate(_levels(a), 1):
         q = p**e
-        if each:
-            upper = sum(Fraction(next(g) + 1, q) for g in each)
-        elif nu_e == q - 1:
-            yield ThresholdResult.exact(1, "F-pure")
+        if nu_e == ell * (q - 1):
+            yield ThresholdResult.exact(ell, "F-pure")
             return
-        else:
-            upper = Fraction(nu_e + 1, q)
         yield ThresholdResult(max(Fraction(nu_e, q), Fraction(1, ord_a)),
-                              min(upper, Fraction(n, ord_a)), "nu-limit")
+                              min(Fraction(nu_e + ell, q), Fraction(n, ord_a)),
+                              "nu-limit")
         if q * p > PE_CAP:
             return
 

@@ -12,6 +12,7 @@ from operator import add
 from thresholds.grobner import PolyIdeal, _divides, _fp_generators
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 from thresholds import grobner
+from thresholds.frobenius import nu
 from thresholds.newton import MonomialIdeal, minimal_points, ray_entry
 from thresholds.rings import (
     MAX_NESTING,
@@ -227,6 +228,18 @@ def in_frobenius_power(g: Polynomial, e: int) -> bool:
         raise ValueError("in_frobenius_power needs an F_p ring")
     q = g.ring.p**e
     return all(any(x >= q for x in exp) for exp in g.terms)
+
+
+def fpt_upper_by_generators(gens, e: int) -> Fraction:
+    """The upper end of the F-pure threshold enclosure at level e as it stood
+    when each generator took its own level walk: sum_i (nu_{g_i}(e) + 1)/p^e,
+    capped at n/ord.  It bounds fpt(a), as nu_a(e) <= sum_i nu_{g_i}(e) by
+    pigeonhole: a product of more factors has some g_i more than nu_{g_i}(e)
+    times, and lies in m^[p^e]."""
+    a = PolyIdeal(gens)
+    q = a.ring.p**e
+    upper = sum(Fraction(nu(g, e) + 1, q) for g in a.gens)
+    return min(upper, Fraction(a.ring.nvars, min(g.order() for g in a.gens)))
 
 
 def solve_lp_reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:

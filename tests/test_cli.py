@@ -319,13 +319,24 @@ def test_broken_invariant_exits_4_with_one_error_line(capsys, monkeypatch):
     def sweep_p_steps(gens, q, budget, start=None, steps=None):
         return gens[0].ring.p, [start], budget
 
-    # a level that takes p steps breaks nu(e+1) <= p*nu(e) + p - 1
+    # a level that takes p steps breaks nu(e+1) <= p*nu(e) + l(p - 1), l = 1
     monkeypatch.setattr(frobenius, "product_sweep", sweep_p_steps)
     assert run(["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "1"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: invariant failed: level 1 of the nu walk took 5 > p - 1 steps\n")
+    assert captured.err == ("error: invariant failed: nu(1) = 5 is outside "
+                            "[p*nu(0), p*nu(0) + l(p - 1)] = [0, 4], l = 1\n")
+
+
+def test_ideal_level_above_the_window_exits_4(capsys, monkeypatch):
+    # two generators over F_5: nu(1) = 3 puts nu(2) in [15, 15 + 2*4]
+    monkeypatch.setattr(frobenius, "product_sweep",
+                        lambda gens, q, *rest: ({5: 3, 25: 24}[q], [], None))
+    assert run(["nu", "--poly", "x^2 + y^3, x*y + y^4", "--p", "5", "--e", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invariant failed: nu(2) = 24 is outside "
+                            "[p*nu(1), p*nu(1) + l(p - 1)] = [15, 23], l = 2\n")
 
 
 def test_parser_rejects_unknown_command():
@@ -428,6 +439,16 @@ def test_first_level_past_the_sweep_budget_asks_the_walk(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: generator-product sweep exceeded its term budget\n"
+
+
+def test_an_f_pure_ideal_reads_its_generator_count(capsys):
+    # G = (x + y^2)(y + x^3) has the term xy, so G^(p-1) is outside m^[p] and
+    # nu(e) = 2(p^e - 1) from level 1 on: fpt = 2 with no sweep past level 1
+    rep = _json(capsys, ["fpt", "--poly", "x + y^2, y + x^3", "--p", "5", "--e", "3"])
+    assert rep["fpt"] == {"lo": "2/1", "hi": "2/1", "certified": True, "method": "F-pure"}
+    # the same for the monomial ideal (x, y), whose box at 7^9 is never swept
+    rep = _json(capsys, ["nu", "--poly", "x, y", "--p", "7", "--e", "9"])
+    assert rep["nu"] == 80707212 == 2 * (7**9 - 1)
 
 
 def test_fpt_smooth_cubic_stress_row_is_exact(capsys):

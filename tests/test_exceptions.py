@@ -1,4 +1,5 @@
-"""Failure-kind guard: the package defines exactly two exception classes.
+"""Failure-kind guards: the package defines exactly two exception classes,
+and raises AssertionError only explicitly, never by an assert statement.
 
 Every failure is malformed input (``ValueError``, with ``ParseError`` as the
 subclass that carries ``.position``), an exhausted budget
@@ -32,3 +33,12 @@ def test_only_parse_and_budget_errors_are_defined():
         for name in _exception_classes(ast.parse(path.read_text())):
             defined[name] = path.name
     assert defined == {"ParseError": "rings.py", "BudgetExceededError": "rings.py"}
+
+
+def test_no_assert_statement_in_the_package():
+    # invariant checks are explicit raises of AssertionError, which python -O
+    # keeps; an assert statement would vanish under it
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

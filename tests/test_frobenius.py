@@ -1,11 +1,14 @@
+import re
 from fractions import Fraction
-from itertools import islice
+from functools import reduce
+from itertools import combinations, islice
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from helpers import nonzero_polynomials, src_uses
-from oracles import in_frobenius_power, is_smooth_cubic_reference
+from oracles import fpt_upper_by_generators, in_frobenius_power, is_smooth_cubic_reference
 from thresholds import frobenius, rings
 from thresholds.frobenius import (
     fpt_cubic_cone,
@@ -15,7 +18,7 @@ from thresholds.frobenius import (
     is_smooth_cubic,
     nu,
 )
-from thresholds.grobner import ideal_power
+from thresholds.grobner import PolyIdeal, ideal_power
 from thresholds.newton import MonomialIdeal, lct_monomial
 from thresholds.rings import (
     BudgetExceededError,
@@ -212,21 +215,78 @@ def test_nu_sequence_regression_guard(monkeypatch):
     def sweep_p_steps(gens, q, budget, start=None, steps=None):
         return gens[0].ring.p, [start], budget
 
-    # a level that takes p steps breaks nu(e+1) <= p*nu(e) + p - 1
+    # a principal level of p steps breaks nu(e+1) <= p*nu(e) + l(p - 1), l = 1
     monkeypatch.setattr(frobenius, "product_sweep", sweep_p_steps)
-    with pytest.raises(AssertionError, match="level 1 of the nu walk took 5"):
+    with pytest.raises(AssertionError, match=re.escape(
+            "nu(1) = 5 is outside [p*nu(0), p*nu(0) + l(p - 1)] = [0, 4], l = 1")):
         nu(f, 1)
 
-    def sweep_broken_ideal(gens, q, budget=None, start=None, steps=None):
-        if len(gens) == 1:
-            return product_sweep(gens, q, budget, start, steps)
-        return {5: 3, 25: 14}[q], [], budget
+    def sweep_broken_ideal(level_2):
+        def sweep(gens, q, budget=None, start=None, steps=None):
+            if len(gens) == 1:
+                return product_sweep(gens, q, budget, start, steps)
+            return {5: 3, 25: level_2}[q], [], budget
+        return sweep
 
-    # nu(2) = 14 < 5*nu(1) breaks nu(e+1) >= p*nu(e) for an ideal
-    monkeypatch.setattr(frobenius, "product_sweep", sweep_broken_ideal)
-    for read in (lambda: nu(a, 2), lambda: fpt_enclosure(a, 2)):
-        with pytest.raises(AssertionError, match=r"nu\(2\) = 14 < p\*nu\(1\) = 15"):
-            read()
+    # for the two generators of a, nu(2) must lie in [5*3, 5*3 + 2*4] = [15, 23]
+    for level_2 in (14, 24):
+        monkeypatch.setattr(frobenius, "product_sweep", sweep_broken_ideal(level_2))
+        for read in (lambda: nu(a, 2), lambda: fpt_enclosure(a, 2)):
+            with pytest.raises(AssertionError, match=re.escape(
+                    f"nu(2) = {level_2} is outside [p*nu(1), p*nu(1) + l(p - 1)]"
+                    " = [15, 23], l = 2")):
+                read()
+
+
+@st.composite
+def _ideal_cases(draw):
+    n = draw(st.integers(1, 3))
+    ring = Ring.prime_field(n, draw(st.sampled_from([2, 3, 5, 7])))
+    gens = nonzero_polynomials(ring, max_terms=3, max_exp=3).filter(
+        lambda f: (0,) * n not in f.terms)
+    return draw(st.lists(gens, min_size=1, max_size=3)), draw(st.integers(1, 3))
+
+
+@given(_ideal_cases())
+# F-pure: G = (x + y^2)(y + x^3) has the term xy, so nu(e) = 2(p^e - 1)
+@example(([parse_polynomial("x + y^2", F5), parse_polynomial("y + x^3", F5)], 3))
+@example(([parse_polynomial("z^2 + x^3*y", Ring.prime_field(3, 3)),
+           parse_polynomial("y^2*z^2 + 2*x^3", Ring.prime_field(3, 3))], 2))
+def test_one_level_law_holds_for_every_ideal(case):
+    # l generators: p*nu(e) <= nu(e+1) <= p*nu(e) + l(p - 1), so the upper
+    # ends (nu(e) + l)/p^e bound every later level from above
+    gens, e = case
+    a = PolyIdeal(gens)
+    p, ell = a.ring.p, len(a.gens)
+    levels = []
+    try:
+        for level in islice(frobenius._levels(a), e):
+            levels.append(level)
+    except BudgetExceededError:
+        pass
+    prev = 0
+    for level in levels:
+        assert p * prev <= level <= p * prev + ell * (p - 1)
+        prev = level
+    for (k, nu_k), (j, nu_j) in combinations(enumerate(levels, 1), 2):
+        assert Fraction(nu_j, p**j) <= Fraction(nu_k + ell, p**k)
+    capped = [k for k, nu_k in enumerate(levels, 1) if nu_k == ell * (p**k - 1)]
+    if capped:
+        # a capped level stays capped: G^(q - 1) outside m^[q] at every later q
+        product = reduce(mul, a.gens)
+        for j in range(capped[0], len(levels) + 1):
+            assert levels[j - 1] == ell * (p**j - 1)
+            try:
+                assert power_has_reduced_term(product, p**j - 1, p**j)
+            except BudgetExceededError:
+                pass
+    for k, enc in enumerate(islice(fpt_enclosures(a), len(levels)), 1):
+        for j in range(k + 1, len(levels) + 1):
+            assert Fraction(levels[j - 1], p**j) <= enc.hi
+        try:
+            assert enc.hi <= fpt_upper_by_generators(a.gens, k)
+        except BudgetExceededError:
+            pass
 
 
 def test_levels_are_swept_in_one_place():
