@@ -5,16 +5,18 @@ F-pure threshold.  ``_levels`` yields nu(1), nu(2), ... for ``nu`` and
 ``fpt_enclosures``, one degree sweep per level: from 1, each kept product of
 generators is multiplied by every generator, each term with an exponent >= p^e
 is dropped as it is formed (m^[p^e] is spanned by those monomials), and nu(e)
-is the last degree with a product left; monomial ideals sweep a bitset.
+is the last degree with a product left; monomial ideals sweep a bitset, and
+Thom-Sebastiani sums read base-p digits, as the ``digits`` rule does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
+from math import lcm, prod
 
 from thresholds.grobner import PolyIdeal
-from thresholds.lct0 import ThresholdResult, first_exact
+from thresholds.lct0 import ThresholdResult, first_exact, thom_sebastiani_orders
 from thresholds.newton import lct_monomial
 # unused here: bench/run.py reads the two budgets from this module
 from thresholds.rings import DEFAULT_BOX_BUDGET, DEFAULT_PRODUCT_BUDGET
@@ -67,23 +69,50 @@ def _nu_box(exps, n: int, q: int) -> int:
         reach, i = nxt, i + 1
 
 
-def _walk_finds_f_pure(f: Polynomial) -> bool:
-    """Whether the walk finds f^(p-1) outside m^[p]: nu(1) = p - 1 (Fedder)."""
+def _carry_bound(ks, p: int, columns: int) -> Fraction | None:
+    """p^(1-L) plus the sum of <1/k>_(L-1), k in ks, at the first base-p digit
+    column L <= columns where the 1/k sum to p or more, else None.  Digit j of
+    1/k is (p*s + p - 1) // k, then s its rest, from s = 0: so lcm(ks) hold all."""
+    charge_box(len(ks) * columns, f"digit scan of {columns} columns")
+    rems, t = [0] * len(ks), 1
+    for _ in range(columns):
+        digits, rems = zip(*(divmod(p * s + p - 1, k) for s, k in zip(rems, ks)))
+        if sum(digits) >= p:
+            return Fraction(sum((t - 1) // k for k in ks) + 1, t)
+        t *= p
+
+
+def _digit_fpt(ks, p: int) -> Fraction | None:
+    """The limit of the digit levels of :func:`_levels` (Hernandez 2015)."""
     try:
-        return power_has_reduced_term(f, f.ring.p - 1, f.ring.p)
+        return (_carry_bound(ks, p, lcm(*ks) if len(ks) > 1 else 0)
+                or sum(Fraction(1, k) for k in ks))
+    except BudgetExceededError:
+        return None  # the levels still read digits; one part never carries
+
+
+def _walk_finds_f_pure(g: Polynomial) -> bool:
+    """Whether the walk finds g^(p-1) outside m^[p]: g is F-pure (Fedder)."""
+    try:
+        return power_has_reduced_term(g, g.ring.p - 1, g.ring.p)
     except BudgetExceededError:
         return False  # the walk ran out too
 
 
-def _levels(a: PolyIdeal):
+def _levels(a: PolyIdeal, walked: bool = False):
     """Yield nu(1), nu(2), ... of an ideal a in m (checked by :func:`_in_m`).
 
     Monomial ideals sweep the exponent box (:func:`_nu_box`), others their
     generator products (:func:`rings.product_sweep`) on a fresh budget per
     level.  A principal ideal walks the levels on one budget: f^(p*j) mod
     m^[p*q] is f^j mod m^[q] with its exponents times p, so level k+1 resumes
-    from level k's lifted last product; if the sweep of level 1 runs out,
-    :func:`_walk_finds_f_pure` may still give nu(1) = p - 1.
+    from level k's lifted last product.  If level 1's sweep runs out, the walk
+    on G = g_1 ... g_l (unless ``walked``) may still give nu(1) = l(p - 1).
+    A Thom-Sebastiani sum g_1 + ... + g_s of orders k_i (:func:`lct0.
+    thom_sebastiani_orders`) has nu(e) = max sum j_i, j_i <= (q - 1)/k_i adding
+    without a carry: by Lucas the lowest terms of the g_i^(j_i) make a term
+    outside m^[q] no other split reaches.  So keep the digit column sums above
+    the first >= p, and p - 1 from there on: q*w - 1, w of :func:`_carry_bound`.
 
     Each level lies in the window p*nu(k) <= nu(k+1) <= p*nu(k) + l(p - 1),
     l = len(a.gens), or raises AssertionError.  Indeed h^p is outside m^[pq]
@@ -102,6 +131,7 @@ def _levels(a: PolyIdeal):
     (G^(p^(j+1)-1))^[1/p^(j+1)] = (G^(p^j-1) (G^(p-1))^[1/p])^[1/p^j] = R.
     """
     ring, p, ell = a.ring, a.ring.p, len(a.gens)
+    ks = ell == 1 and thom_sebastiani_orders(a.gens[0])
     left, prev, q = None, 0, 1  # None: the first sweep starts a fresh budget
     for k in count(1):
         q *= p
@@ -109,18 +139,20 @@ def _levels(a: PolyIdeal):
             level = ell * (q - 1)  # F-pure: no sweep needed
         elif a.monomial is not None:
             level = _nu_box(a.monomial.gens, ring.nvars, q)
-        elif ell > 1:
-            level = product_sweep(a.gens, q)[0]
-        else:
-            start = None if k == 1 else Polynomial(
-                ring, {tuple(x * p for x in u): c for u, c in prod.terms.items()})
+        elif ks:
+            w = _carry_bound(ks, p, k)
+            level = int(q * w) - 1 if w else sum((q - 1) // i for i in ks)
+        else:  # only a principal level resumes, on the budget left
+            start = None if k == 1 or ell > 1 else Polynomial(
+                ring, {tuple(x * p for x in u): c for u, c in last[0].terms.items()})
             try:
-                d, (prod,), left = product_sweep(a.gens, q, left, start)
+                d, last, left = product_sweep(a.gens, q, start and left, start)
             except BudgetExceededError:
-                if k > 1 or not _walk_finds_f_pure(a.gens[0]):
+                if k > 1 or walked or not _walk_finds_f_pure(
+                        prod(a.gens[1:], start=a.gens[0])):
                     raise
-                d = p - 1
-            level = p * prev + d
+                d = ell * (p - 1)
+            level = d if start is None else p * prev + d
         lo, hi = p * prev, p * prev + ell * (p - 1)
         if not lo <= level <= hi:
             raise AssertionError(f"nu({k}) = {level} is outside [p*nu({k - 1}), p*nu("
@@ -137,14 +169,13 @@ def nu(a, e: int) -> int:
 
 
 # (method, rule): a rule maps an ideal a in m to its exact F-pure threshold, or
-# to a false value.  Monomial: its lct (Hara-Yoshida); f in one variable (one
-# exponent column not all zero): x^ord times a unit; cubic: see fpt_cubic_cone.
+# to a false value: see lct_monomial (Hara-Yoshida), fpt_cubic_cone, _digit_fpt.
 CHAR_P_RULES = (
     ("LP", lambda a: a.monomial and lct_monomial(a.monomial)),
-    ("closed-form", lambda a: len(a.gens) == 1 == sum(map(any, zip(*a.gens[0].terms)))
-                              and Fraction(1, a.gens[0].order())),
     ("cubic-cone", lambda a: len(a.gens) == 1 and is_smooth_cubic(a.gens[0])
                              and _cone_fpt(a.gens[0])),
+    ("digits", lambda a: len(a.gens) == 1 and (ks := thom_sebastiani_orders(a.gens[0]))
+                         and _digit_fpt(ks, a.ring.p)),
 )
 
 
@@ -219,8 +250,8 @@ def _cone_fpt(f: Polynomial) -> Fraction:
     p = f.ring.p
     try:
         ordinary = monomial_coefficient(f, p - 1, (p - 1, p - 1, p - 1)) != 0
-    except BudgetExceededError:
-        ordinary = nu(f, 1) == p - 1
+    except BudgetExceededError:  # nu(1) by its sweep: its walk is this one
+        ordinary = next(_levels(_in_m(f), walked=True)) == p - 1
     return Fraction(1) if ordinary else Fraction(p - 1, p)
 
 

@@ -5,8 +5,8 @@ reduction mod p never exceeds the characteristic-zero threshold, and the two
 agree for infinitely many p.  ``compare_at_prime`` produces one row of that
 comparison from a proved enclosure of the F-pure threshold; ``compare`` runs
 it across a prime range for a polynomial over Q whose threshold a rule of
-``lct0.CHAR0_RULES`` gives.  For a diagonal, equality has a clean
-congruence description.
+``lct0.CHAR0_RULES`` gives.  Such a polynomial is a Thom-Sebastiani sum, so
+the ``digits`` rule of ``frobenius.CHAR_P_RULES`` makes every row exact.
 """
 
 from __future__ import annotations
@@ -87,11 +87,8 @@ def compare(f: Polynomial, primes, *, e_max: int = 3) -> list:
     origin, whose threshold lct0 a rule of ``CHAR0_RULES`` gives.
 
     Primes that divide a coefficient of f or the k of a part of f
-    (:func:`thom_sebastiani_orders`) are skipped.  For a diagonal
-    f = c_1 x_1^{a_1} + ... + c_n x_n^{a_n} the two thresholds agree when
-    p = 1 mod a_1*...*a_n (every a_i then divides p - 1), so those rows are
-    EQUAL without a computation; each row carries p mod a_1*...*a_n as its
-    residue.
+    (:func:`thom_sebastiani_orders`) are skipped.  A row of a diagonal
+    c_1 x_1^{a_1} + ... + c_n x_n^{a_n} has residue p mod a_1*...*a_n.
     """
     if f.ring.p is not None:
         raise ValueError("polynomial is already in characteristic p")
@@ -110,9 +107,6 @@ def compare(f: Polynomial, primes, *, e_max: int = 3) -> list:
     for p in primes:
         if any(b % p == 0 for b in bad):
             continue
-        if modulus and p % modulus == 1:
-            row = ComparisonRow(p, exact, exact.value)
-        else:
-            row = compare_at_prime(f, p, exact.value, e_max=e_max)
+        row = compare_at_prime(f, p, exact.value, e_max=e_max)
         rows.append(replace(row, residue=modulus and p % modulus))
     return rows

@@ -6,7 +6,7 @@ tests check the package's faster or more uniform paths against them.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, prod
 from operator import add
 
 from thresholds.grobner import PolyIdeal, _divides, _fp_generators
@@ -240,6 +240,18 @@ def fpt_upper_by_generators(gens, e: int) -> Fraction:
     q = a.ring.p**e
     upper = sum(Fraction(nu(g, e) + 1, q) for g in a.gens)
     return min(upper, Fraction(a.ring.nvars, min(g.order() for g in a.gens)))
+
+
+def diagonal_fpt_by_congruence(exponents, p: int) -> Fraction | None:
+    """The F-pure threshold of c_1 x_1^{a_1} + ... + c_n x_n^{a_n} mod p when
+    p = 1 mod a_1*...*a_n, else None: the shortcut ``redmodp.compare`` took
+    before the digits rule.  Every a_i then divides p - 1, so every base-p
+    digit of 1/a_i is (p - 1)/a_i: either no column carries and the
+    threshold is sum 1/a_i, or the first carries and it is 1; it is
+    min(1, sum 1/a_i) = lct0 either way."""
+    if p % prod(exponents) != 1:
+        return None
+    return min(Fraction(1), sum(Fraction(1, a) for a in exponents))
 
 
 def solve_lp_reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:

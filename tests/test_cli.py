@@ -135,13 +135,15 @@ def test_compare_takes_a_thom_sebastiani_sum(capsys, poly, value):
 
 # One case per exact rule: (table, method, argv, exact value).  fpt reads the
 # char-p rules of frobenius.CHAR_P_RULES, and F-pure from its level sweep;
-# lct and compare read lct0.CHAR0_RULES, and a compare row at p = 1 mod 6 of
-# a diagonal is the char-0 rule's result.
+# lct and compare read lct0.CHAR0_RULES: compare's lct0 is the char-0 rule's
+# result, and its row at p = 7 = 1 mod 6 meets it by the digits rule.
 _RULE_CASES = [
     ("p", "LP", ["fpt", "--poly", "x^2, y^3", "--p", "5"], "5/6"),
-    ("p", "closed-form", ["fpt", "--poly", "x^2 + x^3", "--p", "5"], "1/2"),
     ("p", "cubic-cone", ["fpt", "--poly", "x^3 + y^3 + z^3", "--p", "5"], "4/5"),
-    ("p", "F-pure", ["fpt", "--poly", "x^2 + y^2", "--p", "3"], "1/1"),
+    # the cusp at p = 5: 1/2 = 0.222... and 1/3 = 0.1313... in base 5 carry in
+    # column 2, so fpt = 2/5 + 1/5 + 1/5
+    ("p", "digits", ["fpt", "--poly", "x^2 + y^3", "--p", "5"], "4/5"),
+    ("p", "F-pure", ["fpt", "--poly", "x*y + x^3", "--p", "3"], "1/1"),
     ("0", "LP", ["lct", "--monomial", "x^2*y, y^4"], "5/8"),
     ("0", "closed-form", ["compare", "--poly", "2*x^2 + y^3", "--pmax", "7"], "5/6"),
 ]
@@ -157,7 +159,11 @@ def test_each_exact_rule_answers_through_the_cli(capsys, table, method, argv, va
     if rep["command"] == "lct":
         assert (rep["method"], rep["lct"]) == (method, value)
         return
-    fpt = rep["fpt"] if rep["command"] == "fpt" else rep["rows"][-1]["fpt"]
+    if rep["command"] == "compare":
+        assert {row["lct0"] for row in rep["rows"]} == {value}
+        method, fpt = "digits", rep["rows"][-1]["fpt"]
+    else:
+        fpt = rep["fpt"]
     assert fpt == {"lo": value, "hi": value, "certified": True, "method": method}
 
 
@@ -179,12 +185,13 @@ def test_a_closed_pipe_exits_141_without_a_traceback():
 
 
 def test_compare_f_pure_node_is_equal_at_every_prime(capsys):
-    # x^2 + y^2 is F-pure at every odd p, so each row is exactly 1 = lct0
+    # x^2 + y^2 is F-pure at every odd p, so each row is exactly 1 = lct0: the
+    # digits of 1/2 in base p are all (p - 1)/2, and no column carries
     rep = _json(capsys, ["compare", "--poly", "x^2 + y^2", "--pmax", "30", "--strict"])
     assert [row["p"] for row in rep["rows"]] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
     for row in rep["rows"]:
         assert row["relation"] == "equal"
-        assert row["fpt"]["method"] == ("closed-form" if row["p"] % 4 == 1 else "F-pure")
+        assert row["fpt"]["method"] == "digits"
 
 
 def test_ordinary_command(capsys, monkeypatch):
@@ -238,7 +245,8 @@ def test_parse_error_exit_2(capsys):
 
 
 def test_strict_uncertified_exit_3(capsys):
-    argv = ["fpt", "--poly", "x^2 + y^3", "--p", "7", "--e", "2"]
+    # the cusp times a unit: not a Thom-Sebastiani sum, so only the sweep reads it
+    argv = ["fpt", "--poly", "x^2 + x^2*y + y^3", "--p", "7", "--e", "2"]
     assert run(argv) == 0
     capsys.readouterr()
     assert run(argv + ["--strict"]) == 3
@@ -259,6 +267,9 @@ def test_budget_env_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("THRESHOLDS_BUDGET", "1")
     assert run(["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "2"]) == 3
     assert "error:" in capsys.readouterr().err
+    # the digit scan of the cusp's two parts is charged to the box budget
+    assert run(["fpt", "--poly", "x^2 + y^3", "--p", "5", "--e", "1"]) == 3
+    assert capsys.readouterr().err == "error: digit scan of 1 columns exceeds budget 1\n"
     assert run(["lct", "--monomial", "x^2, y^3"]) == 3  # the ray LP's pivots
     assert "pivot budget" in capsys.readouterr().err
     monkeypatch.setenv("THRESHOLDS_BUDGET", "zero")
@@ -321,7 +332,7 @@ def test_broken_invariant_exits_4_with_one_error_line(capsys, monkeypatch):
 
     # a level that takes p steps breaks nu(e+1) <= p*nu(e) + l(p - 1), l = 1
     monkeypatch.setattr(frobenius, "product_sweep", sweep_p_steps)
-    assert run(["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "1"]) == 4
+    assert run(["nu", "--poly", "x^2 + x^2*y + y^3", "--p", "5", "--e", "1"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: invariant failed: nu(1) = 5 is outside "
@@ -406,21 +417,27 @@ def test_fpt_deep_level_encloses_cusp_threshold(capsys):
 
 
 def test_fpt_f_pure_stress_row_exits_0(capsys):
-    # nu(1) = p - 1, so the surface is F-pure and its threshold is exactly 1
+    # nu(1) = p - 1, so the surface is F-pure and its threshold is exactly 1;
+    # E_8 with the term xyz is no Thom-Sebastiani sum, so the levels are read
     for e in ("1", "2", "3"):
-        rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3 + z^5", "--p", "97", "--e", e])
+        rep = _json(capsys, ["fpt", "--poly", "x^2 + y^3 + z^5 + x*y*z", "--p", "97",
+                             "--e", e])
         assert rep["fpt"] == {"lo": "1/1", "hi": "1/1", "certified": True,
                               "method": "F-pure"}
 
 
 @pytest.mark.parametrize("argv, key, value", [
     # f has a linear term, so it is smooth at 0 and F-pure
-    (["fpt", "--poly", "x - y - 5*y^2 - z^4", "--p", "97", "--e", "1"], "fpt",
+    (["fpt", "--poly", "x - y - 5*y^2*z - z^4", "--p", "97", "--e", "1"], "fpt",
      {"lo": "1/1", "hi": "1/1", "certified": True, "method": "F-pure"}),
     # (xy)^(p-1) is a term of f^(p-1) with coefficient 1
     (["fpt", "--poly", "x^3 + y^3 + z^3 + x*y", "--p", "97", "--e", "1"], "fpt",
      {"lo": "1/1", "hi": "1/1", "certified": True, "method": "F-pure"}),
     (["nu", "--poly", "x^3 + y^3 + z^3 + x*y", "--p", "97", "--e", "2"], "nu", 97**2 - 1),
+    # two generators: the walk finds G^96 outside m^[97] for G = (x + y^2)(y + x^3),
+    # so nu(1) = 2 * 96 and the threshold is exactly 2
+    (["fpt", "--poly", "x + y^2, y + x^3", "--p", "97", "--e", "1"], "fpt",
+     {"lo": "2/1", "hi": "2/1", "certified": True, "method": "F-pure"}),
 ])
 def test_f_pure_past_the_sweep_budget_is_answered_by_the_walk(capsys, argv, key, value):
     # level 1 runs out of the product budget; the walk finds f^(p-1) outside m^[p]
@@ -430,15 +447,25 @@ def test_f_pure_past_the_sweep_budget_is_answered_by_the_walk(capsys, argv, key,
 def test_first_level_past_the_sweep_budget_asks_the_walk(capsys, monkeypatch):
     monkeypatch.delenv("THRESHOLDS_BUDGET", raising=False)
     monkeypatch.setattr(rings, "DEFAULT_PRODUCT_BUDGET", 1)
-    # (xy)^6 has coefficient 20 in (x^2 + y^2)^6: F-pure, so nu(e) = 7^e - 1
-    assert _json(capsys, ["nu", "--poly", "x^2 + y^2", "--p", "7", "--e", "3"])["nu"] == 342
-    rep = _json(capsys, ["fpt", "--poly", "x^2 + y^2", "--p", "7", "--e", "3"])
+    # the node and the cusp, each times the unit 1 + y on x^2, out of the
+    # Thom-Sebastiani shape; (xy)^6 has coefficient 20 in it: F-pure, so
+    # nu(e) = 7^e - 1
+    node = "x^2 + x^2*y + y^2"
+    assert _json(capsys, ["nu", "--poly", node, "--p", "7", "--e", "3"])["nu"] == 342
+    rep = _json(capsys, ["fpt", "--poly", node, "--p", "7", "--e", "3"])
     assert rep["fpt"]["hi"] == "1/1" and rep["fpt"]["method"] == "F-pure"
-    # (x^2 + y^3)^6 has no term with both exponents below 7: not F-pure
-    assert run(["fpt", "--poly", "x^2 + y^3", "--p", "7", "--e", "1"]) == 3
+    # (x^2 + x^2*y + y^3)^6 has no term with both exponents below 7: not F-pure
+    assert run(["fpt", "--poly", "x^2 + x^2*y + y^3", "--p", "7", "--e", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: generator-product sweep exceeded its term budget\n"
+    # two generators: the walk reads their product G, F-pure for (x + y^2)(y + x^3)
+    rep = _json(capsys, ["fpt", "--poly", "x + y^2, y + x^3", "--p", "5", "--e", "1"])
+    assert rep["fpt"] == {"lo": "2/1", "hi": "2/1", "certified": True, "method": "F-pure"}
+    # but not for (x + y^2)(x^2 + y^3), although its first factor is F-pure
+    assert run(["fpt", "--poly", "x + y^2, x^2 + y^3", "--p", "5", "--e", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: generator-product sweep exceeded its term budget\n")
 
 
 def test_an_f_pure_ideal_reads_its_generator_count(capsys):

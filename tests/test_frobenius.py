@@ -19,6 +19,7 @@ from thresholds.frobenius import (
     nu,
 )
 from thresholds.grobner import PolyIdeal, ideal_power
+from thresholds.lct0 import thom_sebastiani_orders
 from thresholds.newton import MonomialIdeal, lct_monomial
 from thresholds.rings import (
     BudgetExceededError,
@@ -207,7 +208,8 @@ def test_nu_subadditive_in_ideal_sum():
 
 
 def test_nu_sequence_regression_guard(monkeypatch):
-    f = parse_polynomial("x^2+y^3", F5)
+    # the cusp times a unit: no Thom-Sebastiani sum, so the sweep reads it
+    f = parse_polynomial("x^2+x^2*y+y^3", F5)
     a = [f, parse_polynomial("x*y", F5)]
     assert [nu(f, e) for e in (1, 2, 3)] == [3, 19, 99]
     assert [nu(a, e) for e in (1, 2)] == [4, 24]
@@ -300,7 +302,7 @@ def test_levels_are_swept_in_one_place():
 
 
 def test_fpt_enclosure_levels_and_cap(monkeypatch):
-    f = parse_polynomial("x^2+y^3", F5)
+    f = parse_polynomial("x^2+x^2*y+y^3", F5)  # swept: no exact rule answers
     with pytest.raises(ValueError, match="e_max must be >= 1"):
         fpt_enclosure(f, 0)
     # the level used is the largest e <= e_max with p^e <= PE_CAP
@@ -377,7 +379,7 @@ def test_fpt_enclosure_one_variable_principal():
 
 
 def test_fpt_enclosure_interval_bounds():
-    f = parse_polynomial("x^2+y^3", F7)
+    f = parse_polynomial("x^2+x^2*y+y^3", F7)  # the cusp times a unit, swept
     res = fpt_enclosure([f], 2)
     assert res.contains(Fraction(5, 6))
     assert Fraction(1, 2) <= res.lo <= res.hi <= Fraction(2, 2)
@@ -466,12 +468,27 @@ def _smooth_cubics(draw):
 def test_cubic_ordinarity_past_the_walk_budget_reads_the_first_nu_level(f):
     p = f.ring.p
     walk = monomial_coefficient(f, p - 1, (p - 1, p - 1, p - 1)) != 0
-    levels = []
+    levels, walks = [], []
+    levels_of, coefficients = frobenius._levels, rings.power_coefficients
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rings, "WALK_BUDGET", 1)
-        mp.setattr(frobenius, "nu", lambda *args: levels.append(args) or nu(*args))
+        mp.setattr(frobenius, "_levels", lambda a, walked=False:
+                   levels.append((a, walked)) or levels_of(a, walked))
+        mp.setattr(rings, "power_coefficients",
+                   lambda *args: walks.append(args) or coefficients(*args))
         assert is_ordinary_cubic(f) == walk
-    assert levels == [(f, 1)]  # the walk ran out, and nu(1) = p - 1 decided
+        # the walk ran out, and nu(1) = p - 1 decided, read off the levels of f
+        assert [(a.gens, walked) for a, walked in levels] == [((f,), True)]
+        assert len(walks) == 1
+        if thom_sebastiani_orders(f):
+            return  # a diagonal cubic reads its levels off digits, with no sweep
+        # past the sweep budget too, the walk is not taken again
+        walks.clear()
+        mp.setattr(rings, "DEFAULT_PRODUCT_BUDGET", 1)
+        mp.delenv("THRESHOLDS_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError, match="generator-product sweep"):
+            is_ordinary_cubic(f)
+        assert len(walks) == 1
 
 
 def test_fpt_enclosure_checks_a_smooth_cubic_once(monkeypatch):
@@ -492,3 +509,87 @@ def test_non_fermat_cubic():
     expanded = f.pow(4)
     oracle = expanded.coefficient((4, 4, 4)) != 0
     assert is_ordinary_cubic(f) == oracle
+
+
+# ----------------------------------------------------------------------
+# Thom-Sebastiani sums: levels and threshold from base-p digits
+# ----------------------------------------------------------------------
+
+@st.composite
+def _thom_sebastiani_sums(draw):
+    """g_1 + ... + g_s over F_p, s <= 3, in disjoint variables: each part a
+    polynomial in one variable with at most three terms, or one term in one
+    or two variables."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    parts = draw(st.lists(st.one_of(
+        st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)
+        .map(lambda xs: [(x,) for x in xs]),
+        st.lists(st.integers(1, 4), min_size=1, max_size=2).map(lambda u: [tuple(u)]),
+    ), min_size=1, max_size=3))
+    n = sum(len(part[0]) for part in parts)
+    terms, i = {}, 0
+    for part in parts:
+        for u in part:
+            exp = [0] * n
+            exp[i:i + len(u)] = u
+            terms[tuple(exp)] = draw(st.integers(1, p - 1))
+        i += len(part[0])
+    return Polynomial(Ring.prime_field(n, p), terms)
+
+
+def _swept_levels(f):
+    """nu(e) by a fresh sweep of f for e <= 3 and p^e <= 3000, until the sweep
+    runs out of budget: the oracle of the digit levels."""
+    levels, q = [], f.ring.p
+    while len(levels) < 3 and q <= 3000:
+        try:
+            levels.append(product_sweep([f], q)[0])
+        except BudgetExceededError:
+            break
+        q *= f.ring.p
+    return levels
+
+
+@given(_thom_sebastiani_sums())
+@example(parse_polynomial("x^2 + y^3 + z^7", Ring.prime_field(3, 11)))
+@example(parse_polynomial("x^2 + y^2", Ring.prime_field(2, 2)))
+def test_digit_levels_and_threshold_match_the_sweep(f):
+    ks, p = thom_sebastiani_orders(f), f.ring.p
+    assert ks
+    levels = _swept_levels(f)
+    assert [nu(f, e) for e in range(1, len(levels) + 1)] == levels
+    # the digit threshold lies in every swept enclosure [nu/q, (nu + 1)/q]
+    fpt = frobenius._digit_fpt(ks, p)
+    for e, level in enumerate(levels, 1):
+        assert Fraction(level, p**e) <= fpt <= Fraction(level + 1, p**e)
+    enc = fpt_enclosure(f, 3)
+    assert enc.is_exact and enc.value == fpt
+    rule = ("LP" if len(f.terms) == 1
+            else "cubic-cone" if is_smooth_cubic(f) else "digits")
+    assert enc.method == rule
+
+
+def test_digit_levels_pass_the_window_and_the_budget():
+    # the level window still checks every digit level
+    f = parse_polynomial("x^2+y^3+z^7", Ring.prime_field(3, 31))
+    assert nu(f, 3) == 28829 and [nu(f, e) for e in (1, 2)] == [29, 929]
+    # the scan is charged to the box budget: len(ks) * columns points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("THRESHOLDS_BUDGET", "5")
+        with pytest.raises(BudgetExceededError, match="digit scan of 2 columns"):
+            nu(f, 2)
+        # past the budget the rule gives way, and the levels still read digits
+        g = parse_polynomial("x^2 + y^3", F5)
+        assert frobenius._digit_fpt([2, 3], 5) is None
+        mp.setenv("THRESHOLDS_BUDGET", "6")
+        assert fpt_enclosure(g, 1).method == "nu-limit"
+
+
+def test_cusp_is_exact_at_every_prime_up_to_100():
+    # criterion 3's values: 5/6 for p = 1 mod 3, 5/6 - 1/(6p) for p = 2 mod 3
+    # from p = 5 on, and 1/2, 2/3 at p = 2, 3
+    for p in (p for p in range(2, 101) if all(p % d for d in range(2, p))):
+        enc = fpt_enclosure(parse_polynomial("x^2 + y^3", Ring.prime_field(2, p)), 3)
+        target = {2: Fraction(1, 2), 3: Fraction(2, 3)}.get(
+            p, Fraction(5, 6) if p % 3 == 1 else Fraction(5, 6) - Fraction(1, 6 * p))
+        assert (enc.lo, enc.hi, enc.method) == (target, target, "digits")

@@ -3,16 +3,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import diagonal_fpt_by_congruence
 from thresholds import frobenius
+from thresholds.lct0 import thom_sebastiani_orders
 from thresholds.redmodp import (
     EQUAL,
     FPT_LESS,
+    INCONCLUSIVE,
     ComparisonRow,
     compare_at_prime,
     compare,
     reduce_mod_p,
 )
-from thresholds.rings import Polynomial, Ring, parse_polynomial, product_sweep
+from thresholds.rings import (
+    Polynomial,
+    Ring,
+    infer_ring,
+    parse_polynomial,
+    product_sweep,
+)
 
 Q2 = Ring.rationals(2)
 CUSP = parse_polynomial("x^2 + y^3", Q2)
@@ -74,7 +83,9 @@ def test_compare_sweeps_each_level_once(monkeypatch):
         return product_sweep(*args)
 
     monkeypatch.setattr(frobenius, "product_sweep", counting_sweep)
-    row = compare_at_prime(CUSP, 7, Fraction(5, 6), e_max=3)
+    # the cusp times a unit, so no Thom-Sebastiani sum: the levels are swept
+    f = parse_polynomial("x^2 + x^2*y + y^3", Q2)
+    row = compare_at_prime(f, 7, Fraction(5, 6), e_max=3)
     assert not row.fpt.is_exact  # no level decides, so all three are read
     assert calls == [7, 49, 343]
 
@@ -134,6 +145,25 @@ def test_compare_takes_what_a_rule_answers(text):
     for r in rows:
         assert r.lct0 == lct0 and r.fpt.hi <= lct0
         assert r.residue == (r.p % 6 if diagonal else None)
+
+
+_DIAGONALS = ["x^2 + y^3", "x^2 + y^4", "x^3 + y^3", "x^3 + y^4", "x^4 + y^3",
+              "x^4 + y^4", "x^2 + y^3 + z^5", "2*x^2 + y^3 + 3*z^7"]
+
+
+@pytest.mark.parametrize("text", _DIAGONALS)
+def test_congruence_oracle_agrees_with_every_equal_row(text):
+    # every row of a diagonal is exact now, and each at p = 1 mod prod(a_i)
+    # is the EQUAL that the congruence shortcut gave
+    f = parse_polynomial(text, infer_ring(text))
+    exponents = thom_sebastiani_orders(f)
+    rows = compare(f, [p for p in range(2, 200) if all(p % d for d in range(2, p))])
+    assert rows and all(r.fpt.is_exact and r.relation != INCONCLUSIVE for r in rows)
+    congruent = [r for r in rows if r.residue == 1]
+    assert congruent
+    for r in congruent:
+        assert r.relation == EQUAL
+        assert r.fpt.value == r.lct0 == diagonal_fpt_by_congruence(exponents, r.p)
 
 
 def test_compare_diagonal_needs_rational_coefficients():
