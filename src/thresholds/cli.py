@@ -47,7 +47,8 @@ def _parse_lambda(text: str) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# Subcommand bodies: each returns (report dict, certified flag)
+# Subcommand bodies: each returns (report dict, certified flag).  ``run``
+# parses --poly over F_p into ``args.gens`` and --lambda into a Fraction.
 # ----------------------------------------------------------------------
 
 def _cmd_lct(args):
@@ -59,29 +60,24 @@ def _cmd_lct(args):
 
 def _cmd_fpt(args):
     from thresholds import frobenius
-    from thresholds.rings import parse_generators
 
-    enc = frobenius.fpt_enclosure(parse_generators(args.poly, args.p), args.e)
+    enc = frobenius.fpt_enclosure(args.gens, args.e)
     return {"fpt": _interval_dict(enc), "p": args.p}, enc.is_exact
 
 
 def _cmd_nu(args):
     from thresholds import frobenius
-    from thresholds.rings import parse_generators
 
-    gens = parse_generators(args.poly, args.p)
-    return {"nu": frobenius.nu(gens, args.e), "p": args.p, "e": args.e}, True
+    return {"nu": frobenius.nu(args.gens, args.e), "p": args.p, "e": args.e}, True
 
 
 def _cmd_tau(args):
     from thresholds import testideal
-    from thresholds.rings import parse_generators, render_polynomial
+    from thresholds.rings import render_polynomial
 
-    gens = parse_generators(args.poly, args.p)
-    lam = _parse_lambda(args.lam)
-    res = testideal.tau(gens, lam, e_max=args.e)
+    res = testideal.tau(args.gens, args.lam, e_max=args.e)
     return {
-        "lambda": fmt_q(lam),
+        "lambda": fmt_q(args.lam),
         "p": args.p,
         "generators": [render_polynomial(g) for g in res.ideal.groebner()],
         "stabilized": res.stabilized,
@@ -91,10 +87,8 @@ def _cmd_tau(args):
 
 def _cmd_fjump(args):
     from thresholds import testideal
-    from thresholds.rings import parse_generators
 
-    gens = parse_generators(args.poly, args.p)
-    rep = testideal.fjump_scan(gens, args.grid, _parse_lambda(args.lam), e_max=args.e)
+    rep = testideal.fjump_scan(args.gens, args.grid, args.lam, e_max=args.e)
     return {
         "p": args.p,
         "grid": rep.grid,
@@ -143,7 +137,7 @@ def _cmd_compare(args):
     f = parse_polynomial(args.poly, infer_ring(args.poly))
     charge_box(args.pmax, f"--pmax {args.pmax}")
     primes = [p for p in range(2, args.pmax + 1) if is_prime(p)]
-    rows = redmodp.compare(f, primes, e_max=args.e)
+    rows = redmodp.compare(f, primes)
     if not rows:
         raise ValueError(f"--pmax {args.pmax} leaves no prime to compare (primes "
                          "that divide a coefficient or a part's order are skipped)")
@@ -159,12 +153,10 @@ def _cmd_compare(args):
 
 def _cmd_ordinary(args):
     from thresholds import frobenius
-    from thresholds.rings import parse_generators
 
-    gens = parse_generators(args.poly, args.p)
-    if len(gens) != 1:
+    if len(args.gens) != 1:
         raise ValueError("ordinary expects a single cubic")
-    cone_fpt = frobenius.fpt_cubic_cone(gens[0])
+    cone_fpt = frobenius.fpt_cubic_cone(args.gens[0])
     return {"p": args.p, "ordinary": cone_fpt == 1, "cone_fpt": fmt_q(cone_fpt)}, True
 
 
@@ -207,7 +199,6 @@ _COMMANDS = {
         ("--poly", {"required": True,
                     "help": "polynomial over Q whose lct0 a rule gives"}),
         ("--pmax", {"type": int, "default": 100}),
-        ("--e", {"type": int, "default": 3}),
     ], _cmd_compare),
     "ordinary": ("ordinarity of a plane cubic over F_p", [_POLY, _P], _cmd_ordinary),
 }
@@ -248,10 +239,14 @@ def _render_text(report: dict, indent: int = 0) -> str:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from thresholds.rings import BudgetExceededError, budget
+    from thresholds.rings import BudgetExceededError, budget, parse_generators
 
     try:
         budget(0)  # a malformed THRESHOLDS_BUDGET fails every subcommand
+        if hasattr(args, "p"):
+            args.gens = parse_generators(args.poly, args.p)
+        if hasattr(args, "lam"):
+            args.lam = _parse_lambda(args.lam)
         report, certified = _COMMANDS[args.command][2](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,7 +64,7 @@ class ComparisonRow:
 
 
 def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
-                     e_max: int) -> ComparisonRow:
+                     e_max: int = 3) -> ComparisonRow:
     """One comparison row: the first enclosure of fpt(f mod p) at a level
     e <= e_max that decides its relation to lct0, else the last, intersected
     with the a-priori bound fpt <= lct0."""
@@ -82,7 +82,7 @@ def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
     return ComparisonRow(p, replace(enc, hi=min(enc.hi, lct0)), lct0)
 
 
-def compare(f: Polynomial, primes, *, e_max: int = 3) -> list:
+def compare(f: Polynomial, primes) -> list:
     """Comparison rows across the given primes for f over Q, vanishing at the
     origin, whose threshold lct0 a rule of ``CHAR0_RULES`` gives.
 
@@ -96,8 +96,6 @@ def compare(f: Polynomial, primes, *, e_max: int = 3) -> list:
         raise ValueError("f does not vanish at the origin")
     if not (exact := first_exact(CHAR0_RULES, f)):
         raise ValueError("no rule gives the characteristic-zero threshold of f")
-    if e_max < 1:
-        raise ValueError("e_max must be >= 1")
     ks = thom_sebastiani_orders(f)
     bad = ks + [n for c in f.terms.values() for n in c.as_integer_ratio()]
     # a diagonal has one part per term and one variable per part
@@ -107,6 +105,6 @@ def compare(f: Polynomial, primes, *, e_max: int = 3) -> list:
     for p in primes:
         if any(b % p == 0 for b in bad):
             continue
-        row = compare_at_prime(f, p, exact.value, e_max=e_max)
+        row = compare_at_prime(f, p, exact.value)
         rows.append(replace(row, residue=modulus and p % modulus))
     return rows

@@ -63,7 +63,7 @@ def frobenius_root(b, e: int) -> PolyIdeal:
 class TauResult:
     ideal: PolyIdeal
     stabilized: bool  # True only with a certificate of exactness
-    e_used: int
+    e_used: int  # chain level; fixed-point steps if principal; 0 if monomial
 
 
 def ascending_chain(a, lam, e_max: int = DEFAULT_E_MAX) -> Iterator[PolyIdeal]:

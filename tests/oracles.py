@@ -12,9 +12,9 @@ from operator import add
 from thresholds.grobner import PolyIdeal, _divides, _fp_generators
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 from thresholds import grobner
-from thresholds.frobenius import nu
 from thresholds.newton import MonomialIdeal, minimal_points, ray_entry
 from thresholds.rings import (
+    DEFAULT_PRODUCT_BUDGET,
     MAX_NESTING,
     BudgetExceededError,
     ParseError,
@@ -235,10 +235,14 @@ def fpt_upper_by_generators(gens, e: int) -> Fraction:
     when each generator took its own level walk: sum_i (nu_{g_i}(e) + 1)/p^e,
     capped at n/ord.  It bounds fpt(a), as nu_a(e) <= sum_i nu_{g_i}(e) by
     pigeonhole: a product of more factors has some g_i more than nu_{g_i}(e)
-    times, and lies in m^[p^e]."""
+    times, and lies in m^[p^e].  Each nu_{g_i}(e) is the number of degrees
+    that ``product_sweep_reference`` takes on g_i alone, so no fast path of
+    ``frobenius.nu`` reads it."""
     a = PolyIdeal(gens)
     q = a.ring.p**e
-    upper = sum(Fraction(nu(g, e) + 1, q) for g in a.gens)
+    upper = sum(
+        Fraction(product_sweep_reference([g], q, DEFAULT_PRODUCT_BUDGET)[0] + 1, q)
+        for g in a.gens)
     return min(upper, Fraction(a.ring.nvars, min(g.order() for g in a.gens)))
 
 

@@ -1,6 +1,5 @@
 import argparse
 import ast
-import inspect
 import json
 import os
 import re
@@ -369,8 +368,7 @@ _FLAGS = {
               ("--lambda", "lam", None, "1", False), ("--e", "e", int, 5, False)],
     "newton": [_MONOMIAL],
     "asym": [("--mmax", "mmax", int, 2048, False)],
-    "compare": [_POLY, ("--pmax", "pmax", int, 100, False),
-                ("--e", "e", int, 3, False)],
+    "compare": [_POLY, ("--pmax", "pmax", int, 100, False)],
     "ordinary": [_POLY, _P],
 }
 
@@ -396,11 +394,7 @@ def test_parser_is_built_from_the_command_table():
     assert {m for m in loaded if m.startswith("thresholds")} == {
         "thresholds", "thresholds.cli"
     }
-    from thresholds import redmodp, testideal
-
     assert e_default["tau"] == e_default["fjump"] == testideal.DEFAULT_E_MAX
-    signature = inspect.signature(redmodp.compare)
-    assert e_default["compare"] == signature.parameters["e_max"].default
 
 
 def test_readme_cli_example_names_each_subcommand_once():
@@ -510,7 +504,7 @@ def test_tau_large_integer_lambda_exits_0(capsys):
     ["fjump", "--poly", "x^2 + y^3, x*y", "--p", "5", "--grid", "4", "--e", "0"],
     ["asym", "--mmax", "15"],
     ["fjump", "--poly", "x^2 + y^3", "--p", "5", "--grid", "4", "--lambda", "0"],
-    ["compare", "--poly", "x^2+y^3", "--pmax", "7", "--e", "0"],
+    ["ordinary", "--poly", "x^3 + y^3 + z^3", "--p", "4"],
     ["nu", "--poly", "x^2,,y^3", "--p", "3", "--e", "1"],  # an empty generator
     ["fpt", "--poly", "x^2,,y^3", "--p", "3"],
     ["tau", "--poly", "x^2,,y^3", "--p", "3", "--lambda", "1/2"],
@@ -527,6 +521,22 @@ def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_generators_are_parsed_before_lambda(capsys):
+    assert run(["tau", "--poly", "x^2 + y^3", "--p", "6", "--lambda", "abc"]) == 2
+    assert capsys.readouterr().err == "error: F_p ring requires a prime, got 6\n"
+    assert run(["fjump", "--poly", "x^2,,y^3", "--p", "5", "--grid", "2",
+                "--lambda", "abc"]) == 2
+    assert "--lambda" not in capsys.readouterr().err
+
+
+def test_compare_takes_no_level_option(capsys):
+    # every row is exact by the digits rule, so there is no level to choose
+    with pytest.raises(SystemExit) as exc:
+        run(["compare", "--poly", "x^2+y^3", "--e", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --e 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

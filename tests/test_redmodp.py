@@ -61,7 +61,7 @@ def test_reduce_mod_p_is_ring_map_on_samples(num, den):
 
 def test_cusp_comparison_rows():
     lct0 = Fraction(5, 6)
-    rows = compare(CUSP, (5, 7, 11, 13, 31, 37), e_max=4)
+    rows = compare(CUSP, (5, 7, 11, 13, 31, 37))
     assert [row.p for row in rows] == [5, 7, 11, 13, 31, 37]
     for row in rows:
         assert row.fpt.hi <= lct0
@@ -91,7 +91,7 @@ def test_compare_sweeps_each_level_once(monkeypatch):
 
 
 def test_cusp_gap_is_zero_or_one_sixth_p():
-    for row in compare(CUSP, (5, 7, 11, 13), e_max=4):
+    for row in compare(CUSP, (5, 7, 11, 13)):
         gap = Fraction(5, 6) - (row.fpt.value if row.fpt.is_exact else row.fpt.lo)
         assert gap == 0 or abs(gap - Fraction(1, 6 * row.p)) <= row.fpt.width()
 
@@ -109,7 +109,7 @@ def test_compare_diagonal_congruence():
 
 def test_compare_diagonal_three_variables():
     rows = compare(
-        parse_polynomial("x^2 + y^2 + z^2", Ring.rationals(3)), [5, 7, 17], e_max=2)
+        parse_polynomial("x^2 + y^2 + z^2", Ring.rationals(3)), [5, 7, 17])
     for r in rows:
         assert r.lct0 == 1
         assert r.fpt.hi <= 1
@@ -176,3 +176,17 @@ def test_lower_bound_never_exceeds_lct0():
     f = parse_polynomial("x^2 + y^3", Q2)
     with pytest.raises(AssertionError):
         compare_at_prime(f, 7, Fraction(1, 2), e_max=4)
+
+
+@pytest.mark.parametrize("text", ["x^3 + y^4", "x^2 + y^3 + z^7", "x^2*y^3 + z^5",
+                                  "x^3 + y^3 + z^3"])
+def test_compare_reads_no_level_of_a_thom_sebastiani_sum(monkeypatch, text):
+    # every row is decided before a nu level is read, so no level cap matters
+    def no_level(*args, **kwargs):
+        raise AssertionError("compare read a nu level")
+
+    monkeypatch.setattr(frobenius, "_levels", no_level)
+    f = parse_polynomial(text, infer_ring(text))
+    rows = compare(f, [p for p in range(2, 60) if all(p % d for d in range(2, p))])
+    method = "cubic-cone" if text == "x^3 + y^3 + z^3" else "digits"
+    assert rows and all(r.fpt.is_exact and r.fpt.method == method for r in rows)
