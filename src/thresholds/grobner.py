@@ -38,11 +38,15 @@ DEFAULT_PAIR_BUDGET = 10**5
 
 
 def _top(terms):
-    """The grevlex-largest exponent of a term dict: the largest total degree
-    first, ``grevlex_key`` only to break a tie within it."""
-    top = max(map(sum, terms))
-    tied = [exp for exp in terms if sum(exp) == top]
-    return tied[0] if len(tied) == 1 else max(tied, key=grevlex_key)
+    """The grevlex-largest exponent of a term dict, in one pass: the largest
+    total degree, and within it the lexicographically smallest reversed
+    exponent, the order ``grevlex_key`` realises."""
+    best, top = None, -1
+    for exp in terms:
+        d = sum(exp)
+        if d > top or d == top and exp[::-1] < best[::-1]:
+            best, top = exp, d
+    return best
 
 
 def _leading(f: Polynomial):

@@ -28,6 +28,7 @@ from thresholds.rings import Polynomial, Ring, is_prime
 EQUAL = "equal"
 FPT_LESS = "fpt-less"
 INCONCLUSIVE = "inconclusive"
+LEVELS = 3  # fpt enclosure levels a comparison row reads at most
 
 
 def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
@@ -63,16 +64,13 @@ class ComparisonRow:
         return FPT_LESS if self.fpt.hi < self.lct0 else INCONCLUSIVE
 
 
-def compare_at_prime(f: Polynomial, p: int, lct0: Fraction, *,
-                     e_max: int = 3) -> ComparisonRow:
+def compare_at_prime(f: Polynomial, p: int, lct0: Fraction) -> ComparisonRow:
     """One comparison row: the first enclosure of fpt(f mod p) at a level
-    e <= e_max that decides its relation to lct0, else the last, intersected
+    e <= LEVELS that decides its relation to lct0, else the last, intersected
     with the a-priori bound fpt <= lct0."""
-    if e_max < 1:
-        raise ValueError("e_max must be >= 1")
     lct0 = Fraction(lct0)
     fp = reduce_mod_p(f, p)
-    for enc in islice(fpt_enclosures(fp), e_max):
+    for enc in islice(fpt_enclosures(fp), LEVELS):
         if enc.hi < lct0 or enc.is_exact:
             break
     if enc.lo > lct0:

@@ -13,7 +13,9 @@ times monomials with exponents below p^e.
   scaling tau(f^{s/p}) = tau(f^s)^[1/p]; starting from the exact value at
   a p-adic rounding of lam, the monotone iteration Y -> (f^c Y)^[1/p^b]
   (with c = lam*(p^b - 1) an integer) increases to tau(f^lam) by right
-  continuity, so the first repeat is a sound stopping point;
+  continuity, so the first repeat is a sound stopping point; each root is
+  taken one base-p digit of the exponent at a time, so no power f^d with
+  d >= p is expanded below lam = 1;
 * anything else falls back to the ascending chain
   (a^{ceil(lam p^e)})^[1/p^e], whose members are lower bounds; the result
   is certified only when the chain reaches the unit ideal.
@@ -140,44 +142,49 @@ def _multiplicative_order(p: int, d: int) -> int:
 
 
 def _tau_principal(f: Polynomial, lam: Fraction) -> TauResult:
-    ring = f.ring
-    p = ring.p
-    if lam == 0:
-        return TauResult(PolyIdeal(Polynomial.one(ring)), True, 0)
-    if lam >= 1:
-        # Skoda, k = floor(lam) times at once: tau(f^{k+s}) = f^k * tau(f^s)
-        k = floor(lam)
-        inner = _tau_principal(f, lam - k)
-        fk = f.pow(k)
-        return TauResult(PolyIdeal([fk * g for g in inner.ideal.gens]),
-                         inner.stabilized, inner.e_used)
-    d = lam.denominator
+    """tau(f^lam) from Frobenius roots that multiply only by f^d, d < p.
+
+    With lam = (k + s)/p^m, k an integer, 0 <= s < 1 and p prime to the
+    denominator of s, Skoda and the p-scaling give tau(f^lam) =
+    (f^k * tau(f^s))^[1/p^m]; tau(f^s) is the fixed point of the module
+    docstring at the level q = p^b where p^b = 1 mod that denominator.
+    """
+    p = f.ring.p
+
+    def root(n: int, ideal: PolyIdeal, b: int) -> PolyIdeal:
+        """(f^n * ideal)^[1/p^b], one base-p digit d of n at a time:
+        (f^(d + p*n') * g)^[1/p^b] = (f^n' * (f^d * g)^[1/p])^[1/p^(b-1)]."""
+        for _ in range(b):
+            n, d = divmod(n, p)
+            fd = f.pow(d)
+            ideal = frobenius_root([fd * g for g in ideal.gens], 1)
+        return PolyIdeal([f.pow(n) * g for g in ideal.gens]) if n else ideal
+
     m = 0
-    while d % p == 0:
-        d //= p
+    while lam.denominator % p == 0:
+        lam *= p
         m += 1
-    if m:
-        # tau(f^{s/p^m}) = tau(f^s)^[1/p^m]
-        inner = _tau_principal(f, lam * p**m)
-        return TauResult(frobenius_root(inner.ideal, m), inner.stabilized, inner.e_used)
-    # p does not divide the denominator: fixed-point iteration at level q
-    b = _multiplicative_order(p, d)
-    q = p**b
-    c = lam * (q - 1)
-    if c.denominator != 1:
-        raise AssertionError(f"lambda*(q-1) = {c} is not an integer")
-    c = c.numerator
-    # exact starting value tau(f^{ceil(lam q)/q}) = (f^{ceil(lam q)})^[1/q]
-    Y = frobenius_root([f.pow(ceil(lam * q))], b)
-    fc = f.pow(c)
-    for it in range(1, ITER_MAX + 1):
-        Z = frobenius_root([fc * g for g in Y.gens], b)
-        if Z.equal(Y):
-            return TauResult(Y, True, it)
-        if not Z.contains(Y):
-            raise AssertionError("principal tau iteration failed to ascend")
-        Y = Z
-    return TauResult(Y, False, ITER_MAX)
+    k = floor(lam)
+    s = lam - k
+    Y, stabilized, it = PolyIdeal(Polynomial.one(f.ring)), True, 0
+    if s:
+        b = _multiplicative_order(p, s.denominator)
+        q = p**b
+        c = s * (q - 1)
+        if c.denominator != 1:
+            raise AssertionError(f"s*(q-1) = {c} is not an integer")
+        # exact starting value tau(f^{ceil(s q)/q}) = (f^{ceil(s q)})^[1/q]
+        Y = root(ceil(s * q), Y, b)
+        for it in range(1, ITER_MAX + 1):
+            Z = root(c.numerator, Y, b)
+            if Z.equal(Y):
+                break
+            if not Z.contains(Y):
+                raise AssertionError("principal tau iteration failed to ascend")
+            Y = Z
+        else:
+            stabilized = False
+    return TauResult(root(k, Y, m), stabilized, it)
 
 
 def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:

@@ -34,6 +34,23 @@ def nonzero_polynomials(ring: Ring, **kw):
     return polynomials(ring, **kw).filter(lambda f: not f.is_zero())
 
 
+def origin_polynomials(ring: Ring, min_terms=1, max_terms=3, max_exp=3):
+    """Polynomials over F_p of min_terms..max_terms terms, none constant, so
+    each vanishes at the origin."""
+    term = st.tuples(exponents(ring.nvars, max_exp).filter(any),
+                     st.integers(1, ring.p - 1))
+    return st.lists(term, min_size=min_terms, max_size=max_terms,
+                    unique_by=lambda t: t[0]).map(lambda ts: Polynomial(ring, dict(ts)))
+
+
+def frobenius_level(p: int, d: int) -> int:
+    """The least p^b, b >= 1, that is 1 mod d (d prime to p)."""
+    q = p
+    while (q - 1) % d:
+        q *= p
+    return q
+
+
 def ideal_members(gens):
     """Random elements h1*g1 + ... + hk*gk of the ideal."""
     ring = gens[0].ring

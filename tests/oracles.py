@@ -11,7 +11,7 @@ from operator import add
 
 from thresholds.grobner import PolyIdeal, _divides, _fp_generators
 from thresholds.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
-from thresholds import grobner
+from thresholds import grobner, testideal
 from thresholds.newton import MonomialIdeal, minimal_points, ray_entry
 from thresholds.rings import (
     DEFAULT_PRODUCT_BUDGET,
@@ -228,6 +228,44 @@ def in_frobenius_power(g: Polynomial, e: int) -> bool:
         raise ValueError("in_frobenius_power needs an F_p ring")
     q = g.ring.p**e
     return all(any(x >= q for x in exp) for exp in g.terms)
+
+
+def tau_principal_reference(f: Polynomial, lam) -> "testideal.TauResult":
+    """tau(f^lam) as ``testideal._tau_principal`` took it with whole powers:
+    Skoda for lam >= 1, the p-scaling when p divides the denominator, then
+    the fixed point Y -> (f^c Y)^[1/q] from (f^ceil(lam q))^[1/q], each root
+    one decomposition at level b of the expanded f^ceil(lam q) and f^c."""
+    lam = Fraction(lam)
+    ring = f.ring
+    p = ring.p
+    if lam == 0:
+        return testideal.TauResult(PolyIdeal(Polynomial.one(ring)), True, 0)
+    if lam >= 1:
+        k = floor(lam)
+        inner = tau_principal_reference(f, lam - k)
+        fk = f.pow(k)
+        return testideal.TauResult(PolyIdeal([fk * g for g in inner.ideal.gens]),
+                                   inner.stabilized, inner.e_used)
+    d = lam.denominator
+    m = 0
+    while d % p == 0:
+        d //= p
+        m += 1
+    if m:
+        inner = tau_principal_reference(f, lam * p**m)
+        return testideal.TauResult(testideal.frobenius_root(inner.ideal, m),
+                                   inner.stabilized, inner.e_used)
+    b = testideal._multiplicative_order(p, d)
+    q = p**b
+    c = (lam * (q - 1)).numerator
+    Y = testideal.frobenius_root([f.pow(ceil(lam * q))], b)
+    fc = f.pow(c)
+    for it in range(1, testideal.ITER_MAX + 1):
+        Z = testideal.frobenius_root([fc * g for g in Y.gens], b)
+        if Z.equal(Y):
+            return testideal.TauResult(Y, True, it)
+        Y = Z
+    return testideal.TauResult(Y, False, testideal.ITER_MAX)
 
 
 def fpt_upper_by_generators(gens, e: int) -> Fraction:

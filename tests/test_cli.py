@@ -499,6 +499,19 @@ def test_tau_large_integer_lambda_exits_0(capsys):
     assert rep["generators"] == [render_polynomial(f.pow(1500))]
 
 
+@pytest.mark.parametrize("poly, p, lam, seconds, gens", [
+    ("x^2+y^3", 13, "29/35", 1, ["1"]),  # q = 13^4: f^24 is never expanded
+    ("x^2+y^3+z^5", 7, "29/30", 10, ["1"]),
+    ("x^2+y^3+z^7", 5, "22/23", 10, ["z", "y", "x"]),
+])
+def test_a_principal_tau_at_a_deep_level_is_answered(capsys, poly, p, lam, seconds, gens):
+    # each root takes one base-p digit, so only f^d with d < p is expanded
+    with within_seconds(seconds):
+        rep = _json(capsys, ["tau", "--poly", poly, "--p", str(p), "--lambda", lam])
+    assert rep["stabilized"] is True
+    assert rep["generators"] == gens
+
+
 @pytest.mark.parametrize("argv", [
     ["tau", "--poly", "x^2 + y^3, x*y", "--p", "5", "--lambda", "1/2", "--e", "0"],
     ["fjump", "--poly", "x^2 + y^3, x*y", "--p", "5", "--grid", "4", "--e", "0"],

@@ -85,7 +85,7 @@ def test_compare_sweeps_each_level_once(monkeypatch):
     monkeypatch.setattr(frobenius, "product_sweep", counting_sweep)
     # the cusp times a unit, so no Thom-Sebastiani sum: the levels are swept
     f = parse_polynomial("x^2 + x^2*y + y^3", Q2)
-    row = compare_at_prime(f, 7, Fraction(5, 6), e_max=3)
+    row = compare_at_prime(f, 7, Fraction(5, 6))
     assert not row.fpt.is_exact  # no level decides, so all three are read
     assert calls == [7, 49, 343]
 
@@ -175,7 +175,7 @@ def test_lower_bound_never_exceeds_lct0():
     # a wrong characteristic-zero value must be caught, not silently clamped
     f = parse_polynomial("x^2 + y^3", Q2)
     with pytest.raises(AssertionError):
-        compare_at_prime(f, 7, Fraction(1, 2), e_max=4)
+        compare_at_prime(f, 7, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("text", ["x^3 + y^4", "x^2 + y^3 + z^7", "x^2*y^3 + z^5",

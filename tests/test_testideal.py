@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    frobenius_level,
     m_primary_exponent_sets,
     monomial_exponent_sets,
     nonzero_polynomials,
+    origin_polynomials,
     within_seconds,
 )
-from oracles import frobenius_bracket_power, tau_by_ray_entry
+from oracles import frobenius_bracket_power, tau_by_ray_entry, tau_principal_reference
 from thresholds import newton, testideal
 from thresholds.frobenius import fpt_enclosure, nu
 from thresholds.grobner import PolyIdeal
@@ -227,6 +229,45 @@ def test_tau_principal_skoda_in_one_step(ring, lam):
     res = tau([f], lam)
     assert res.stabilized
     assert res.ideal.equal(_tau_skoda_one_at_a_time(f, Fraction(lam)))
+
+
+@st.composite
+def _principal_cases(draw):
+    """(f, lam): f of 1-3 terms in 2-3 variables over F_2 ... F_7 with no
+    constant term, 0 < lam < 2 of denominator d or p*d, p prime to d and
+    d of level at most 27."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f = draw(origin_polynomials(Ring.prime_field(draw(st.integers(2, 3)), p)))
+    d = draw(st.sampled_from([d for d in range(1, 30)
+                              if d % p and frobenius_level(p, d) <= 27]))
+    den = d * p ** draw(st.integers(0, 1))
+    return f, Fraction(draw(st.integers(1, 2 * den - 1)), den)
+
+
+@settings(max_examples=60)
+@given(_principal_cases())
+def test_tau_principal_matches_the_whole_power_iteration(case):
+    f, lam = case
+    res, ref = testideal._tau_principal(f, lam), tau_principal_reference(f, lam)
+    assert res.ideal.equal(ref.ideal), (f, lam)
+    assert (res.stabilized, res.e_used) == (ref.stabilized, ref.e_used)
+
+
+def test_tau_principal_below_one_expands_no_power_of_f_past_p(monkeypatch):
+    seen = []
+    whole_pow = Polynomial.pow
+
+    def recording_pow(self, k):
+        seen.append((self.ring.p, k))
+        return whole_pow(self, k)
+
+    monkeypatch.setattr(Polynomial, "pow", recording_pow)
+    for text, n, p, lam in [("x^2+y^3", 2, 13, Fraction(29, 35)),
+                            ("x^2+y^3+z^5", 3, 7, Fraction(29, 30)),
+                            ("x^2+y^3", 2, 5, Fraction(24, 25)),  # p^2 | denominator
+                            ("x^3+x*y^2+y^5", 2, 3, Fraction(25, 26))]:
+        testideal._tau_principal(parse_polynomial(text, Ring.prime_field(n, p)), lam)
+    assert seen and all(k < p for p, k in seen)
 
 
 def test_tau_and_fjump_reject_bad_parameters():
