@@ -108,7 +108,7 @@ class PolyhedralQ:
                  for j in range(self.n - 1)]
         last = prod(sides) - 1
         charge_box(last, f"runaway enumeration to column {last} (is Q proper?)")
-        return MonomialIdeal(self.n, lattice_generators(rows, sides), minimal=True)
+        return MonomialIdeal(self.n, lattice_generators(rows, sides))
 
     def arn_limit(self) -> tuple:
         t = max(Fraction(bb, sum(c)) for c, bb in self.rows)

@@ -34,10 +34,16 @@ PE_CAP = 10**8  # fpt_enclosures uses no level p^e above this
 
 
 def _in_m(a) -> PolyIdeal:
-    """PolyIdeal(a), checked to lie in the maximal ideal m at the origin."""
+    """PolyIdeal(a), checked to lie in the maximal ideal m at the origin.  A
+    non-monomial ideal of two or more generators takes the reduced echelon
+    basis of their F_p-span (:func:`rings.echelon`): one generating set per
+    span, so l and the rules read the ideal, not how it is spelled."""
     a = PolyIdeal(a)
     if any((0,) * a.ring.nvars in g.terms for g in a.gens):
         raise ValueError("generator has a constant term, so a is not in m")
+    if a.monomial is None and len(a.gens) > 1:
+        a = PolyIdeal([Polynomial(a.ring, row)
+                       for row in echelon([g.terms for g in a.gens], a.ring.p)])
     return a
 
 
@@ -103,10 +109,10 @@ def _levels(a: PolyIdeal, walked: bool = False):
     """Yield nu(1), nu(2), ... of an ideal a in m (checked by :func:`_in_m`).
 
     Monomial ideals sweep the exponent box (:func:`_nu_box`), others their
-    generator products (:func:`rings.product_sweep`) on a fresh budget per
-    level.  A principal ideal walks the levels on one budget: f^(p*j) mod
-    m^[p*q] is f^j mod m^[q] with its exponents times p, so level k+1 resumes
-    from level k's lifted last product.  If level 1's sweep runs out, the walk
+    generator products (:func:`rings.product_sweep`), each level on the
+    sweep's own budget.  A principal level resumes: f^(p*j) mod m^[p*q] is
+    f^j mod m^[q] with its exponents times p, so level k+1 starts from level
+    k's lifted last product.  If level 1's sweep runs out, the walk
     on G = g_1 ... g_l (unless ``walked``) may still give nu(1) = l(p - 1).
     A Thom-Sebastiani sum g_1 + ... + g_s of orders k_i (:func:`lct0.
     thom_sebastiani_orders`) has nu(e) = max sum j_i, j_i <= (q - 1)/k_i adding
@@ -132,7 +138,7 @@ def _levels(a: PolyIdeal, walked: bool = False):
     """
     ring, p, ell = a.ring, a.ring.p, len(a.gens)
     ks = ell == 1 and thom_sebastiani_orders(a.gens[0])
-    left, prev, q = None, 0, 1  # None: the first sweep starts a fresh budget
+    prev, q = 0, 1
     for k in count(1):
         q *= p
         if 0 < prev == ell * (q // p - 1):
@@ -142,11 +148,11 @@ def _levels(a: PolyIdeal, walked: bool = False):
         elif ks:
             w = _carry_bound(ks, p, k)
             level = int(q * w) - 1 if w else sum((q - 1) // i for i in ks)
-        else:  # only a principal level resumes, on the budget left
+        else:  # only a principal level resumes
             start = None if k == 1 or ell > 1 else Polynomial(
                 ring, {tuple(x * p for x in u): c for u, c in last[0].terms.items()})
             try:
-                d, last, left = product_sweep(a.gens, q, start and left, start)
+                d, last = product_sweep(a.gens, q, start)
             except BudgetExceededError:
                 if k > 1 or walked or not _walk_finds_f_pure(
                         prod(a.gens[1:], start=a.gens[0])):

@@ -27,7 +27,6 @@ from thresholds.newton import MonomialIdeal, minimal_points
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
-    Ring,
     budget,
     grevlex_key,
     product_sweep,
@@ -221,25 +220,11 @@ class PolyIdeal:
             return
         gens = _fp_generators([a] if isinstance(a, Polynomial) else a)
         ring = gens[0].ring
+        self.ring, self.gens, self.monomial, self._gb = ring, tuple(gens), None, None
         if all(len(g.terms) == 1 for g in gens):
-            self._set_monomial(
-                ring, MonomialIdeal(ring.nvars, [next(iter(g.terms)) for g in gens]))
-        else:
-            self.ring, self.gens, self.monomial = ring, tuple(gens), None
-            self._gb = None
-
-    @classmethod
-    def of_monomial(cls, ring: Ring, mono: MonomialIdeal) -> "PolyIdeal":
-        """The ideal of the F_p ring ``ring`` generated by the monomials of
-        ``mono``, whose generators are already minimal."""
-        self = cls.__new__(cls)
-        self._set_monomial(ring, mono)
-        return self
-
-    def _set_monomial(self, ring: Ring, mono: MonomialIdeal):
-        self.ring, self.monomial = ring, mono
-        self.gens = self._gb = tuple(Polynomial.monomial(ring, e)
-                                     for e in sorted(mono.gens, key=grevlex_key))
+            self.monomial = MonomialIdeal(ring.nvars, [next(iter(g.terms)) for g in gens])
+            self.gens = self._gb = tuple(Polynomial.monomial(ring, e) for e in sorted(
+                self.monomial.gens, key=grevlex_key))
 
     def groebner(self) -> tuple:
         if self._gb is None:

@@ -59,16 +59,13 @@ def minimal_points(points) -> list:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal stored by its minimal generator exponents.
-
-    ``minimal=True`` promises that ``gens`` already are those exponents in
-    lex order, as :func:`minimal_points` returns them, and skips that pass.
-    """
+    """Monomial ideal stored by its minimal generator exponents, in lex
+    order (:func:`minimal_points`)."""
 
     n: int
     gens: tuple
 
-    def __init__(self, n: int, gens, *, minimal: bool = False):
+    def __init__(self, n: int, gens):
         gens = [tuple(int(x) for x in g) for g in gens]
         if not gens:
             raise ValueError("the zero ideal is not allowed")
@@ -78,9 +75,7 @@ class MonomialIdeal:
             if any(x < 0 for x in g):
                 raise ValueError(f"negative exponent in generator {g}")
         object.__setattr__(self, "n", n)
-        if not minimal:
-            gens = minimal_points(gens)
-        object.__setattr__(self, "gens", tuple(gens))
+        object.__setattr__(self, "gens", tuple(minimal_points(gens)))
 
     @staticmethod
     def parse(text: str) -> "MonomialIdeal":

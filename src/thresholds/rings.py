@@ -23,10 +23,10 @@ primitives everything else is built on:
   reduced-term test both read it.
 * ``echelon(rows, p)`` is the one row reduction: sparse rows over F_p.
 
-Every named budget is read through ``budget`` where it is charged.  This
-module owns four: the term budget of a product, the nodes of the walk, the
-term pairs of ``product_sweep`` and the box budget, which ``charge_box``
-charges for every box or scan whose size comes from the input.
+Every named budget is read through ``budget``, afresh in each call that
+charges it.  This module owns four: the term budget of a product, the nodes
+of the walk, the term pairs of ``product_sweep`` and the box budget, which
+``charge_box`` charges for every box or scan whose size comes from the input.
 """
 
 from __future__ import annotations
@@ -514,8 +514,8 @@ def _times(prod, g, lift: int, guard: int, p: int):
     return frozenset(out.items())
 
 
-def product_sweep(gens, q: int, left: int | None = None,
-                  start: Polynomial | None = None, steps: int | None = None) -> tuple:
+def product_sweep(gens, q: int, start: Polynomial | None = None,
+                  steps: int | None = None) -> tuple:
     """Multiply generator products up degree by degree modulo m^[q] over F_p.
 
     ``gens`` and ``start``, a monic product to begin from (1 when None),
@@ -524,11 +524,10 @@ def product_sweep(gens, q: int, left: int | None = None,
     generator index it may still be multiplied by; indices never decrease,
     so each multiset of generators is formed once, and equal monic products
     are kept once.  A product costs the number of term pairs it multiplies,
-    charged to ``left``, the budget left by an earlier sweep, or to a fresh
-    ``DEFAULT_PRODUCT_BUDGET`` when None.  The sweep stops after ``steps``
-    degrees, or when none is given, before the first degree with no product
-    left.  Returns the number of degrees taken, the products of the last one
-    and the budget left.
+    charged to the sweep's own ``DEFAULT_PRODUCT_BUDGET``.  The sweep stops
+    after ``steps`` degrees, or when none is given, before the first degree
+    with no product left.  Returns the number of degrees taken and the
+    products of the last one.
 
     Exponents are packed on entry into one int each, in slots of w + 1 bits,
     w = (2q).bit_length(), with x_1 in the highest slot, so that int order is
@@ -539,7 +538,7 @@ def product_sweep(gens, q: int, left: int | None = None,
     is dropped before packing, but still charged.
     """
     ring = gens[0].ring
-    left = budget(DEFAULT_PRODUCT_BUDGET) if left is None else left
+    left = budget(DEFAULT_PRODUCT_BUDGET)
     start = Polynomial.one(ring) if start is None else start
     if any(max(exp) >= q for exp in start.terms):
         raise ValueError(f"start has an exponent >= q = {q}")
@@ -582,7 +581,7 @@ def product_sweep(gens, q: int, left: int | None = None,
     return taken, [
         Polynomial(ring, {tuple([e >> shift & mask for shift in shifts]): c
                           for e, c in prod})
-        for prod in frontier], left
+        for prod in frontier]
 
 
 # ----------------------------------------------------------------------

@@ -108,8 +108,6 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     n = ideal.n
-    if lam == 0:
-        return MonomialIdeal(n, [(0,) * n])
     # u+1 is interior to lam*P(a) iff u+1 > v for some v in lam*conv(gens),
     # where v_j <= lam*max_g g_j, so a minimal generator has
     # u_j <= floor(lam*max_g g_j): 0 where no generator involves x_j
@@ -124,7 +122,7 @@ def tau_monomial(ideal: MonomialIdeal, lam) -> MonomialIdeal:
     gens = list(islice(lattice_generators(rows, sides), limit + 1))
     if len(gens) > limit:
         raise BudgetExceededError(f"tau exceeds generator budget {limit}")
-    return MonomialIdeal(n, gens, minimal=True)
+    return MonomialIdeal(n, gens)
 
 
 # ----------------------------------------------------------------------
@@ -199,8 +197,8 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:
     if lam == 0:
         return TauResult(PolyIdeal(Polynomial.one(ring)), True, 0)
     if a.monomial is not None:
-        return TauResult(
-            PolyIdeal.of_monomial(ring, tau_monomial(a.monomial, lam)), True, 0)
+        return TauResult(PolyIdeal([Polynomial.monomial(ring, u) for u in
+                                    tau_monomial(a.monomial, lam).gens]), True, 0)
     if len(a.gens) == 1:
         return _tau_principal(a.gens[0], lam)
     one = Polynomial.one(ring)
@@ -215,22 +213,22 @@ def tau(a, lam, *, e_max: int = DEFAULT_E_MAX) -> TauResult:
 # Identities used as cross-checks
 # ----------------------------------------------------------------------
 
-def check_skoda(a, lam, **kw) -> bool:
+def check_skoda(a, lam) -> bool:
     """tau(a^lam) = a * tau(a^{lam-1}) for lam >= number of generators."""
     a = PolyIdeal(a)
     lam = Fraction(lam)
     if lam < len(a.gens):
         raise ValueError("Skoda needs lambda >= number of generators")
-    left = tau(a, lam, **kw).ideal
-    right = a.product(tau(a, lam - 1, **kw).ideal)
+    left = tau(a, lam).ideal
+    right = a.product(tau(a, lam - 1).ideal)
     return left.equal(right)
 
 
-def check_p_scaling(a, lam, **kw) -> bool:
+def check_p_scaling(a, lam) -> bool:
     """tau(a^{lam/p}) = tau(a^lam)^[1/p]."""
     a = PolyIdeal(a)
-    left = tau(a, Fraction(lam) / a.ring.p, **kw).ideal
-    right = frobenius_root(tau(a, lam, **kw).ideal, 1)
+    left = tau(a, Fraction(lam) / a.ring.p).ideal
+    right = frobenius_root(tau(a, lam).ideal, 1)
     return left.equal(right)
 
 

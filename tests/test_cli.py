@@ -255,6 +255,15 @@ def test_strict_uncertified_exit_3(capsys):
     assert run(["lct", "--monomial", "x, y", "--strict"]) == 0
 
 
+def test_a_principal_tau_past_its_iteration_cap_is_not_stabilized(capsys, monkeypatch):
+    # no fixed-point step is taken, so the start value is reported unproved
+    monkeypatch.setattr(testideal, "ITER_MAX", 0)
+    argv = ["tau", "--poly", "x^2+y^3", "--p", "7", "--lambda", "5/6"]
+    assert _json(capsys, argv)["stabilized"] is False
+    assert run(argv + ["--strict"]) == 3
+    assert "not certified" in capsys.readouterr().err
+
+
 def test_strict_accepts_a_point_enclosure(capsys):
     argv = ["fpt", "--poly", "x^2 + y^3", "--p", "2", "--e", "3", "--strict"]
     rep = _json(capsys, argv)
@@ -326,8 +335,8 @@ def test_monomial_errors_name_the_stripped_piece(capsys, gens, message):
 
 
 def test_broken_invariant_exits_4_with_one_error_line(capsys, monkeypatch):
-    def sweep_p_steps(gens, q, budget, start=None, steps=None):
-        return gens[0].ring.p, [start], budget
+    def sweep_p_steps(gens, q, start=None, steps=None):
+        return gens[0].ring.p, [start]
 
     # a level that takes p steps breaks nu(e+1) <= p*nu(e) + l(p - 1), l = 1
     monkeypatch.setattr(frobenius, "product_sweep", sweep_p_steps)
@@ -341,7 +350,7 @@ def test_broken_invariant_exits_4_with_one_error_line(capsys, monkeypatch):
 def test_ideal_level_above_the_window_exits_4(capsys, monkeypatch):
     # two generators over F_5: nu(1) = 3 puts nu(2) in [15, 15 + 2*4]
     monkeypatch.setattr(frobenius, "product_sweep",
-                        lambda gens, q, *rest: ({5: 3, 25: 24}[q], [], None))
+                        lambda gens, q, *rest: ({5: 3, 25: 24}[q], []))
     assert run(["nu", "--poly", "x^2 + y^3, x*y + y^4", "--p", "5", "--e", "2"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -462,6 +471,28 @@ def test_first_level_past_the_sweep_budget_asks_the_walk(capsys, monkeypatch):
         "error: generator-product sweep exceeded its term budget\n")
 
 
+def test_a_first_level_past_the_sweep_and_the_walk_exits_3(capsys, monkeypatch):
+    # f is F-pure, but neither the sweep nor the walk finishes to show it
+    monkeypatch.delenv("THRESHOLDS_BUDGET", raising=False)
+    monkeypatch.setattr(rings, "DEFAULT_PRODUCT_BUDGET", 1)
+    monkeypatch.setattr(rings, "WALK_BUDGET", 1)
+    argv = ["fpt", "--poly", "x - y - 5*y^2*z - z^4", "--p", "97", "--e", "1"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generator-product sweep exceeded its term budget\n"
+
+
+def test_each_principal_level_sweeps_on_its_own_budget(capsys):
+    # level 2 resumes from level 1's last product, on a product budget of its
+    # own: level 1 leaves it less than level 2 needs
+    with within_seconds(10):
+        rep = _json(capsys, ["fpt", "--poly", "x^2+2*x*y+y^2+y^3", "--p", "101",
+                             "--e", "2"])
+    assert rep["fpt"] == {"lo": "8483/10201", "hi": "84/101", "certified": False,
+                          "method": "nu-limit"}
+
+
 def test_an_f_pure_ideal_reads_its_generator_count(capsys):
     # G = (x + y^2)(y + x^3) has the term xy, so G^(p-1) is outside m^[p] and
     # nu(e) = 2(p^e - 1) from level 1 on: fpt = 2 with no sweep past level 1
@@ -528,6 +559,7 @@ def test_a_principal_tau_at_a_deep_level_is_answered(capsys, poly, p, lam, secon
     ["compare", "--poly", "x^2 + y^4", "--pmax", "2"],  # 2 divides an exponent
     ["compare", "--poly", "x^2*y + x^5 + z^2"],  # no rule gives lct0
     ["compare", "--poly", "x^2 + 1"],  # f does not vanish at the origin
+    ["nu", "--poly", "x^2 + y^3", "--p", "5", "--e", "0"],
 ])
 def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv):
     assert run(argv) == 2

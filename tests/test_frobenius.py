@@ -214,8 +214,8 @@ def test_nu_sequence_regression_guard(monkeypatch):
     assert [nu(f, e) for e in (1, 2, 3)] == [3, 19, 99]
     assert [nu(a, e) for e in (1, 2)] == [4, 24]
 
-    def sweep_p_steps(gens, q, budget, start=None, steps=None):
-        return gens[0].ring.p, [start], budget
+    def sweep_p_steps(gens, q, start=None, steps=None):
+        return gens[0].ring.p, [start]
 
     # a principal level of p steps breaks nu(e+1) <= p*nu(e) + l(p - 1), l = 1
     monkeypatch.setattr(frobenius, "product_sweep", sweep_p_steps)
@@ -224,10 +224,10 @@ def test_nu_sequence_regression_guard(monkeypatch):
         nu(f, 1)
 
     def sweep_broken_ideal(level_2):
-        def sweep(gens, q, budget=None, start=None, steps=None):
+        def sweep(gens, q, start=None, steps=None):
             if len(gens) == 1:
-                return product_sweep(gens, q, budget, start, steps)
-            return {5: 3, 25: level_2}[q], [], budget
+                return product_sweep(gens, q, start, steps)
+            return {5: 3, 25: level_2}[q], []
         return sweep
 
     # for the two generators of a, nu(2) must lie in [5*3, 5*3 + 2*4] = [15, 23]

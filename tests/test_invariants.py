@@ -11,11 +11,11 @@ import io
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import frobenius_level, origin_polynomials
 from thresholds.cli import run
-from thresholds.frobenius import nu
+from thresholds.frobenius import fpt_enclosure, nu
 from thresholds.rings import (
     BudgetExceededError,
     Polynomial,
@@ -70,6 +70,47 @@ def test_nu_is_invariant_under_a_triangular_substitution():
             while p**e <= 25:
                 assert nu(moved, e) == nu(gens, e), (e, moved)
                 e += 1
+        except BudgetExceededError:
+            finished.append(False)
+        else:
+            finished.append(True)
+
+    check()
+    assert sum(finished) >= FINISHED_SHARE * len(finished), (
+        f"{finished.count(False)} of {len(finished)} draws ran out of budget")
+
+
+@st.composite
+def _respellings(draw):
+    """(gens, combination): 1-2 generators of 1-3 terms in 2-3 variables over
+    F_2 ... F_7, none with a constant term, and a nonzero F_p-combination of
+    them."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ring = Ring.prime_field(draw(st.integers(2, 3)), p)
+    gens = draw(st.lists(origin_polynomials(ring), min_size=1, max_size=2))
+    combination = Polynomial.zero(ring)
+    for g in gens:
+        combination = combination + g.scale(draw(st.integers(0, p - 1)))
+    assume(not combination.is_zero())
+    return gens, combination
+
+
+def test_nu_and_fpt_read_the_ideal_not_its_spelling():
+    # appending a combination of the generators leaves the ideal as it is, so
+    # every nu(e) and the fpt enclosure stay as they are
+    finished = []
+
+    @settings(max_examples=200)
+    @given(_respellings())
+    def check(case):
+        gens, combination = case
+        respelled = gens + [combination]
+        p, e = gens[0].ring.p, 1
+        try:
+            while p**e <= 25:
+                assert nu(respelled, e) == nu(gens, e), (e, respelled)
+                e += 1
+            assert fpt_enclosure(respelled, 2) == fpt_enclosure(gens, 2), respelled
         except BudgetExceededError:
             finished.append(False)
         else:

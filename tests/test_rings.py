@@ -323,6 +323,14 @@ def _sweep_outcome(sweep, case):
         return "budget"
 
 
+def _packed_sweep(gens, q, budget, start, steps):
+    """``product_sweep`` with ``budget`` as its ``DEFAULT_PRODUCT_BUDGET``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("THRESHOLDS_BUDGET", raising=False)
+        mp.setattr(rings, "DEFAULT_PRODUCT_BUDGET", budget)
+        return product_sweep(gens, q, start, steps)
+
+
 @example(_sweep("x^3*y + y^5, x*y^2 + 3*x", 5, 32))  # q a power of two
 # y^15 * y^15 leaves 2q - 2 = 30 in the y slot, which must not reach x's
 @example(_sweep("x^15 + y^15 + x*y, y^15 + x^3", 3, 16, steps=2))
@@ -334,16 +342,24 @@ def _sweep_outcome(sweep, case):
 @settings(max_examples=200)
 @given(_sweeps())
 def test_packed_sweep_matches_the_tuple_sweep(case):
-    # the same degrees, the same monic products in the same order, the same
-    # budget left, or the budget exceeded on both
-    assert _sweep_outcome(product_sweep, case) == _sweep_outcome(
-        product_sweep_reference, case)
+    # the same degrees and the same monic products in the same order, or the
+    # budget exceeded on both; the reference's exact charge passes, one pair
+    # less raises
+    expected = _sweep_outcome(product_sweep_reference, case)
+    if expected == "budget":
+        assert _sweep_outcome(_packed_sweep, case) == "budget"
+        return
+    gens, q, budget, start, steps = case
+    charge = budget - expected[2]
+    assert _packed_sweep(gens, q, charge, start, steps) == expected[:2]
+    with pytest.raises(BudgetExceededError):
+        _packed_sweep(gens, q, charge - 1, start, steps)
 
 
 def test_sweep_start_lies_below_q():
     gens = parse_generators("x + y", 2)
     with pytest.raises(ValueError):
-        product_sweep(gens, 4, 100, start=parse_polynomial("x^4 + y", gens[0].ring))
+        product_sweep(gens, 4, start=parse_polynomial("x^4 + y", gens[0].ring))
 
 
 @st.composite
